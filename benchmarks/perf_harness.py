@@ -658,7 +658,7 @@ def run_serve_bench(
     single-shard replay must reproduce the scalar simulator's result
     count exactly — then times a sharded replay and records ingestion
     throughput (tuples/sec), queue-depth telemetry (high-water mark and
-    the P² p90/p99 of the ``serve.queue_depth`` series), and the p99 of
+    the histogram p90/p99 of the ``serve.queue_depth`` series), and the p99 of
     the ``decide`` request-path span from the merged latency histograms.
 
     The span machinery's disabled-path contract rides along: replays

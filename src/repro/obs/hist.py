@@ -1,31 +1,37 @@
-"""Mergeable log-bucketed latency histograms for the serving tier.
+"""Mergeable log-bucketed histograms: span latencies and series gauges.
 
-The bounded series of :mod:`repro.obs.timeseries` answer "what is the
-p90 of this gauge?" with a five-marker P² sketch — great for occupancy
-curves, too coarse for request latency, where the tail (p99, max) is
-the whole point and where per-shard state must merge *exactly* across
-``fork``/``merge`` and live resharding.  :class:`LogHistogram` is the
-standard answer from the telemetry literature (HdrHistogram, Prometheus
-native histograms): a fixed budget of geometrically growing buckets.
+One structure answers every quantile question the telemetry asks: the
+serve tier's request-latency tails (p99, max), where per-shard state
+must merge *exactly* across ``fork``/``merge`` and live resharding, and
+the per-step gauges of :class:`~repro.obs.timeseries.TimeSeries`
+(occupancy, hit rate, eviction cutoffs), where worker and shard series
+must merge exactly too.  :class:`LogHistogram` is the standard answer
+from the telemetry literature (HdrHistogram, Prometheus native
+histograms): a fixed budget of geometrically growing buckets.
 
 Design contract
 ---------------
-* **Fixed budget.**  ``n_buckets`` counters plus a handful of scalars,
-  no matter how many observations arrive.  The default layout spans
-  1 µs .. ~4.7 hours of millisecond-valued observations at one bucket
-  per factor of two.
-* **Exact merge.**  Two histograms with the same layout merge by adding
-  bucket counts — associative, commutative, lossless.  Total count,
-  sum, min, and max are preserved exactly, and every quantile of the
-  merged histogram equals the quantile of the union of observations to
-  within one bucket's relative width (the acceptance bound the serve
-  reshard tests pin).  Mismatched layouts re-bin the donor's buckets at
-  their geometric midpoints (approximate, but never drops counts).
-* **JSON state.**  ``state()`` / ``from_state()`` / ``merge()`` follow
-  the :class:`~repro.obs.timeseries.P2Quantile` pattern, so histogram
-  state travels through the same plain-dict snapshots the parallel
-  engine and the serve tier already ship across process and shard
-  boundaries.
+* **Fixed layout.**  :data:`N_BUCKETS` buckets per sign at one bucket
+  per factor of :data:`GROWTH`, starting at :data:`MIN_BOUND`: in
+  milliseconds, 1 µs .. ~2.4 hours.  Nonnegative values fill the upper
+  half; negative values (eviction cutoffs of LFD-style policies) fill a
+  mirrored lower half, bucketed by magnitude.  Values beyond the last
+  bound, ``±inf`` included, land in the overflow bucket of their sign,
+  so no observation is ever dropped.
+* **Exact merge.**  Merging adds bucket counts — associative,
+  commutative, lossless.  Count, min and max are preserved exactly and
+  sum up to float summation order, so a merged histogram answers every
+  quantile exactly as the histogram of the union of observations does.
+* **Accuracy.**  A quantile estimate lies in the bucket holding the
+  true order statistic: within a factor of two of it for magnitudes in
+  ``[MIN_BOUND, 2**(N_BUCKETS - 2) * MIN_BOUND]``, within ``MIN_BOUND``
+  absolutely below that.  An estimate that falls in an overflow bucket
+  is interpolated towards the observed extreme, which is returned
+  as-is when infinite.
+* **JSON state.**  ``state()`` / ``from_state()`` / ``merge()`` produce
+  and consume plain dicts, so histogram state travels through the same
+  snapshots the parallel engine and the serve tier already ship across
+  process and shard boundaries.
 
 :class:`HistogramSet` is the name-keyed collection the serve tier hangs
 off every shard: observe into it per span, merge sets at shard
@@ -36,96 +42,77 @@ retirement, and render the result as Prometheus histogram families
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Mapping, Optional
 
 __all__ = [
-    "DEFAULT_GROWTH",
-    "DEFAULT_MIN_VALUE_MS",
-    "DEFAULT_N_BUCKETS",
+    "GROWTH",
+    "MIN_BOUND",
+    "N_BUCKETS",
     "LogHistogram",
     "HistogramSet",
 ]
 
-#: Default geometric growth factor between bucket upper bounds.
-DEFAULT_GROWTH = 2.0
+#: Geometric growth factor between bucket bounds.
+GROWTH = 2.0
 
-#: Default upper bound of the first bucket, in milliseconds (1 µs).
-DEFAULT_MIN_VALUE_MS = 1e-3
+#: Upper bound of the first nonnegative bucket (1 µs in milliseconds).
+MIN_BOUND = 1e-3
 
-#: Default bucket budget: 1 µs · 2^43 ≈ 2.4 hours of dynamic range.
-DEFAULT_N_BUCKETS = 44
+#: Buckets per sign: 1 µs · 2^43 ≈ 2.4 hours of millisecond range.
+N_BUCKETS = 44
+
+#: Inclusive upper bounds of the nonnegative buckets by magnitude.
+_BOUNDS = tuple(MIN_BOUND * GROWTH**i for i in range(N_BUCKETS))
+
+#: Value edges of all ``2 * N_BUCKETS`` buckets in ascending order:
+#: bucket ``k`` spans ``_EDGES[k] .. _EDGES[k + 1]``.
+_EDGES = (
+    -math.inf,
+    *(-b for b in reversed(_BOUNDS[:-1])),
+    0.0,
+    *_BOUNDS[:-1],
+    math.inf,
+)
 
 
 class LogHistogram:
-    """Fixed-budget histogram with geometrically growing buckets.
+    """Fixed-layout histogram with geometrically growing buckets.
 
-    Bucket ``i`` (``0 <= i < n_buckets``) counts observations ``v`` with
-    ``bound[i-1] < v <= bound[i]`` where ``bound[i] =
-    min_value * growth**i``; values at or below ``min_value`` land in
-    bucket 0 and values above the last bound land in the final
-    (overflow) bucket, so no observation is ever dropped.
+    ``counts`` lists the ``2 * N_BUCKETS`` buckets in ascending value
+    order.  Nonnegative bucket ``N_BUCKETS + i`` counts observations
+    ``v`` with ``bound[i-1] < v <= bound[i]``, where ``bound[i] =
+    MIN_BOUND * GROWTH**i`` (bucket ``N_BUCKETS`` also takes zero);
+    negative bucket ``N_BUCKETS - 1 - i`` counts ``-v`` in the same
+    range.  The outermost bucket of each sign is its overflow bucket.
     """
 
-    __slots__ = (
-        "name",
-        "min_value",
-        "growth",
-        "counts",
-        "count",
-        "total",
-        "vmin",
-        "vmax",
-        "_log_growth",
-    )
+    __slots__ = ("name", "counts", "count", "total", "vmin", "vmax")
 
-    def __init__(
-        self,
-        name: str = "",
-        *,
-        min_value: float = DEFAULT_MIN_VALUE_MS,
-        growth: float = DEFAULT_GROWTH,
-        n_buckets: int = DEFAULT_N_BUCKETS,
-    ):
-        """Empty histogram ``name`` with the given bucket layout."""
-        if min_value <= 0:
-            raise ValueError("min_value must be positive")
-        if growth <= 1.0:
-            raise ValueError("growth must be > 1")
-        if n_buckets < 2:
-            raise ValueError("n_buckets must be >= 2")
+    def __init__(self, name: str = ""):
+        """Empty histogram ``name``."""
         self.name = name
-        self.min_value = float(min_value)
-        self.growth = float(growth)
-        self.counts = [0] * n_buckets
+        self.counts = [0] * (2 * N_BUCKETS)
         self.count = 0
         self.total = 0.0
         self.vmin: Optional[float] = None
         self.vmax: Optional[float] = None
-        self._log_growth = math.log(self.growth)
 
-    @property
-    def n_buckets(self) -> int:
-        """Number of buckets in the fixed layout."""
-        return len(self.counts)
+    @staticmethod
+    def bucket_index(value: float) -> int:
+        """Index into ``counts`` of the bucket that receives ``value``."""
+        if value < 0:
+            return N_BUCKETS - 1 - min(bisect_left(_BOUNDS, -value), N_BUCKETS - 1)
+        return N_BUCKETS + min(bisect_left(_BOUNDS, value), N_BUCKETS - 1)
 
-    def bucket_index(self, value: float) -> int:
-        """Index of the bucket that would receive ``value``."""
-        if value <= self.min_value:
-            return 0
-        index = int(
-            math.ceil(math.log(value / self.min_value) / self._log_growth)
-        )
-        # Guard the exact-boundary case: floating-point log can land an
-        # exact bound one bucket high or low, so settle by comparison.
-        while index > 0 and value <= self.bucket_bound(index - 1):
-            index -= 1
-        while value > self.bucket_bound(index):
-            index += 1
-        return min(index, len(self.counts) - 1)
+    @staticmethod
+    def bucket_edges(index: int) -> tuple[float, float]:
+        """``(low, high)`` value edges of bucket ``index``.
 
-    def bucket_bound(self, index: int) -> float:
-        """Inclusive upper bound of bucket ``index``."""
-        return self.min_value * self.growth**index
+        Nonnegative buckets include their high edge, negative ones their
+        low edge; the overflow buckets' outer edges are ``±inf``.
+        """
+        return _EDGES[index], _EDGES[index + 1]
 
     def observe(self, value: float) -> None:
         """Fold one observation into the histogram."""
@@ -149,8 +136,8 @@ class LogHistogram:
         Locates the bucket where the cumulative count crosses
         ``q * count`` and interpolates linearly inside it; the result is
         clamped to the observed ``[min, max]`` so single-bucket
-        histograms report exact extremes.  The error is bounded by one
-        bucket's width — the log-bucket guarantee.
+        histograms report exact extremes.  An overflow bucket's outer
+        edge is the observed extreme, returned directly when infinite.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
@@ -162,15 +149,17 @@ class LogHistogram:
             if n == 0:
                 continue
             if cum + n >= target:
-                lo = self.bucket_bound(index - 1) if index > 0 else 0.0
-                hi = self.bucket_bound(index)
-                frac = (target - cum) / n if n else 0.0
-                value = lo + frac * (hi - lo)
-                if self.vmin is not None:
-                    value = max(value, self.vmin)
-                if self.vmax is not None:
-                    value = min(value, self.vmax)
-                return value
+                lo, hi = self.bucket_edges(index)
+                if lo == -math.inf:
+                    lo = self.vmin
+                    if lo == -math.inf:
+                        return lo
+                if hi == math.inf:
+                    hi = self.vmax
+                    if hi == math.inf:
+                        return hi
+                value = lo + (target - cum) / n * (hi - lo)
+                return min(max(value, self.vmin), self.vmax)
             cum += n
         return self.vmax
 
@@ -187,26 +176,27 @@ class LogHistogram:
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, Prometheus-style.
 
-        Only buckets up to the last non-empty one are emitted, followed
-        by the infinity bucket, so empty histograms render compactly.
+        Buckets run from the first non-empty negative one (or the
+        nonnegative bucket holding zero) to the last non-empty one below
+        the overflow, followed by the infinity bucket, so empty
+        histograms render compactly.  A negative bucket's upper bound
+        is exclusive.
         """
+        occupied = [index for index, n in enumerate(self.counts) if n]
         out: list[tuple[float, int]] = []
-        cum = 0
-        last = -1
-        for index, n in enumerate(self.counts):
-            if n:
-                last = index
-        for index in range(last + 1):
-            cum += self.counts[index]
-            out.append((self.bucket_bound(index), cum))
+        if occupied:
+            cum = 0
+            first = min(occupied[0], N_BUCKETS)
+            last = min(occupied[-1], 2 * N_BUCKETS - 2)
+            for index in range(first, last + 1):
+                cum += self.counts[index]
+                out.append((self.bucket_edges(index)[1], cum))
         out.append((math.inf, self.count))
         return out
 
     def state(self) -> dict:
         """JSON-serializable state for snapshots and merging."""
         return {
-            "min_value": self.min_value,
-            "growth": self.growth,
             "counts": list(self.counts),
             "count": self.count,
             "sum": self.total,
@@ -217,50 +207,19 @@ class LogHistogram:
     @classmethod
     def from_state(cls, name: str, state: Mapping) -> "LogHistogram":
         """Rebuild a histogram from :meth:`state` output."""
-        counts = [int(n) for n in state.get("counts", ())]
-        hist = cls(
-            name,
-            min_value=float(state.get("min_value", DEFAULT_MIN_VALUE_MS)),
-            growth=float(state.get("growth", DEFAULT_GROWTH)),
-            n_buckets=max(2, len(counts)),
-        )
-        if counts:
-            hist.counts = counts
-        hist.count = int(state.get("count", 0))
-        hist.total = float(state.get("sum", 0.0))
-        vmin = state.get("min")
-        vmax = state.get("max")
-        hist.vmin = float(vmin) if vmin is not None else None
-        hist.vmax = float(vmax) if vmax is not None else None
+        hist = cls(name)
+        hist.merge(state)
         return hist
-
-    def _same_layout(self, state: Mapping) -> bool:
-        return (
-            float(state.get("min_value", -1.0)) == self.min_value
-            and float(state.get("growth", -1.0)) == self.growth
-            and len(state.get("counts", ())) == len(self.counts)
-        )
 
     def merge(self, state: Mapping) -> None:
         """Fold another histogram's :meth:`state` into this one.
 
-        Same-layout merges add bucket counts and are exact; mismatched
-        layouts re-bin the donor's buckets at their geometric midpoints
-        (total count and sum still preserved exactly).
+        Bucket counts add, so the merge is exact: the result equals the
+        histogram of both inputs' observations (``sum`` up to float
+        summation order).
         """
-        donor_counts = [int(n) for n in state.get("counts", ())]
-        if self._same_layout(state):
-            for index, n in enumerate(donor_counts):
-                self.counts[index] += n
-        else:
-            donor = LogHistogram.from_state(self.name, state)
-            for index, n in enumerate(donor_counts):
-                if not n:
-                    continue
-                lo = donor.bucket_bound(index - 1) if index > 0 else 0.0
-                hi = donor.bucket_bound(index)
-                mid = math.sqrt(lo * hi) if lo > 0 else hi / 2.0
-                self.counts[self.bucket_index(mid)] += n
+        for index, n in enumerate(state.get("counts", ())):
+            self.counts[index] += int(n)
         self.count += int(state.get("count", 0))
         self.total += float(state.get("sum", 0.0))
         other_min = state.get("min")

@@ -70,8 +70,8 @@ class Recorder(Protocol):
         """Fold the per-step gauge point ``(t, value)`` into ``name``.
 
         Backed by bounded-memory aggregation (fixed-budget downsampling
-        buffer + streaming quantile sketches), so emitting one point per
-        step is safe for arbitrarily long runs.  Call sites guard on
+        buffer + exactly-mergeable log-bucketed histogram), so emitting
+        one point per step is safe for arbitrarily long runs.  Call sites guard on
         :attr:`enabled` like every other instrumentation block.
         """
         ...
@@ -223,8 +223,8 @@ class CounterRecorder:
     def merge(self, snapshot: Mapping) -> None:
         """Add a :meth:`snapshot`'s counters/timers/series into this one.
 
-        Series aggregates merge exactly except for quantile sketches and
-        downsampling buffers, which merge approximately (see
+        Series histograms (count/sum/min/max and every quantile) merge
+        exactly; only the downsampling buffers merge approximately (see
         :meth:`repro.obs.timeseries.TimeSeries.merge`).
         """
         for name, n in snapshot.get("counters", {}).items():

@@ -280,8 +280,9 @@ def format_series_table(
     """Render collected series as aligned rows with sparklines.
 
     One row per series: point count, min/mean/p50/max (exact — computed
-    from the trace's raw points, unlike the streaming estimates in
-    recorder snapshots), the final value, and a ``width``-cell
+    from the trace's raw points, unlike recorder snapshots, whose
+    quantiles are histogram estimates within one factor-2 bucket), the
+    final value, and a ``width``-cell
     :func:`~repro.obs.timeseries.sparkline` of the values in time order.
     """
     if not series_map:
@@ -322,8 +323,8 @@ def serve_latency_histograms(
     """Rebuild span-latency histograms from a trace's series points.
 
     Every ``serve.span.*_ms`` point is folded into a
-    :class:`~repro.obs.hist.LogHistogram` with the default layout — the
-    same layout the live server fills — so a traced single-shard replay
+    :class:`~repro.obs.hist.LogHistogram` — the fixed layout the live
+    server fills — so a traced single-shard replay
     and a live ``/metrics`` scrape of the same run summarize latency
     with identical bucket boundaries.
     """

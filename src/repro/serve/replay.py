@@ -216,9 +216,10 @@ class ReplaySummary:
     tuples_per_sec: float
     #: High-water mark of any shard queue.
     max_queue_depth: int
-    #: P² estimates of the ``serve.queue_depth`` series quantiles —
-    #: sampled at enqueue *and* dequeue time, so drain phases count
-    #: (``None`` when the recorder tracked no such series).
+    #: ``serve.queue_depth`` series quantiles, within one factor-2
+    #: histogram bucket — sampled at enqueue *and* dequeue time, so
+    #: drain phases count (``None`` when the recorder tracked no such
+    #: series).
     p90_queue_depth: Optional[float]
     p99_queue_depth: Optional[float]
     backpressure_waits: int

@@ -342,7 +342,7 @@ class StreamServer:
 
         Combines the server-level set (producer-side spans plus every
         retired shard's folded state) with the live shards' sets, by
-        exact same-layout bucket addition — total counts are preserved
+        exact bucket addition — total counts are preserved
         across fork/merge and :meth:`reshard` by construction.
         """
         merged = self._hists.copy()
@@ -791,7 +791,7 @@ class StreamServer:
     def _fold_shard_hists(self, shards: Optional[list[Shard]] = None) -> None:
         """Fold retiring shards' span histograms into the server set.
 
-        Same-layout histogram merges add bucket counts exactly, so no
+        Histogram merges add bucket counts exactly, so no
         observation is lost at stop, abort, or reshard; each shard is
         folded at most once (``hists_folded``).
         """

@@ -74,11 +74,11 @@ def _assert_join_equal(scalar, batch):
 
 
 def _assert_snapshot_equal(a, b, name):
-    """Snapshot equality that treats NaN == NaN.
+    """Snapshot equality that also treats NaN == NaN.
 
-    LRU-k cutoffs include ``-inf`` (below-k slots), which puts NaNs in
-    the quantile-sketch state; ``repr`` round-trips floats exactly, so
-    repr equality is still byte-level equality of the state.
+    LRU-k cutoffs include ``-inf`` (below-k slots), so a histogram sum
+    over mixed infinities could be NaN; ``repr`` round-trips floats
+    exactly, so repr equality is still byte-level equality of the state.
     """
     assert repr(a.snapshot()) == repr(b.snapshot()), name
 

@@ -3,13 +3,14 @@
 The serve tier's latency story rests on three guarantees this suite
 pins:
 
-* **no observation is ever dropped** — underflow clamps to bucket 0,
-  overflow to the last bucket, and exact bucket bounds settle correctly
-  despite floating-point log;
-* **same-layout merge is exact** — observations partitioned across
-  shard histograms and merged back are *bucket-identical* to the
-  unsharded histogram, so every quantile (p99 included) matches the
-  unsharded run exactly, not just "within a bucket";
+* **no observation is ever dropped** — values near zero land in the
+  bucket holding zero, negatives in the mirrored half by magnitude,
+  ``±inf`` and other out-of-range values in the overflow bucket of their
+  sign, and exact bucket bounds settle inclusively;
+* **merge is exact** — observations partitioned across histograms and
+  merged back are *bucket-identical* to the unpartitioned histogram, so
+  every quantile (p99 included) matches exactly, not just "within a
+  bucket";
 * **state round-trips as plain JSON** — the dict snapshots the serve
   tier ships across shard boundaries rebuild the histogram losslessly.
 """
@@ -21,71 +22,82 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.hist import (
-    DEFAULT_GROWTH,
-    DEFAULT_MIN_VALUE_MS,
-    DEFAULT_N_BUCKETS,
+    GROWTH,
+    MIN_BOUND,
+    N_BUCKETS,
     HistogramSet,
     LogHistogram,
 )
 
 
-def filled(values, **kwargs) -> LogHistogram:
-    hist = LogHistogram("test", **kwargs)
+def filled(values) -> LogHistogram:
+    hist = LogHistogram("test")
     for v in values:
         hist.observe(v)
     return hist
 
 
 class TestBucketLayout:
-    """Bucket geometry: bounds, boundary settling, clamping."""
+    """Bucket geometry: bounds, boundary settling, sign mirroring."""
 
     def test_constructor_validates_layout(self):
-        with pytest.raises(ValueError):
-            LogHistogram(min_value=0.0)
-        with pytest.raises(ValueError):
-            LogHistogram(growth=1.0)
-        with pytest.raises(ValueError):
-            LogHistogram(n_buckets=1)
+        # The layout is fixed: it is not a constructor knob, so every
+        # histogram shares it and any two merge exactly.
+        for knob in ("min_value", "growth", "n_buckets"):
+            with pytest.raises(TypeError):
+                LogHistogram("h", **{knob: 2})
 
     def test_default_layout_constants(self):
         hist = LogHistogram()
-        assert hist.n_buckets == DEFAULT_N_BUCKETS
-        assert hist.min_value == DEFAULT_MIN_VALUE_MS
-        assert hist.growth == DEFAULT_GROWTH
+        assert len(hist.counts) == 2 * N_BUCKETS
+        assert (MIN_BOUND, GROWTH, N_BUCKETS) == (1e-3, 2.0, 44)
 
     def test_bounds_grow_geometrically(self):
-        hist = LogHistogram(min_value=1.0, growth=2.0, n_buckets=8)
-        assert [hist.bucket_bound(i) for i in range(4)] == [1, 2, 4, 8]
+        highs = [LogHistogram.bucket_edges(N_BUCKETS + i)[1] for i in range(4)]
+        assert highs == [MIN_BOUND * GROWTH**i for i in range(4)]
+        # Negative buckets mirror the positive ones by magnitude.
+        for i in range(N_BUCKETS):
+            lo, hi = LogHistogram.bucket_edges(N_BUCKETS + i)
+            assert LogHistogram.bucket_edges(N_BUCKETS - 1 - i) == (-hi, -lo)
 
     def test_exact_boundary_values_land_in_their_bucket(self):
-        # bound[i] is inclusive: v == min * growth**i belongs to bucket i.
-        hist = LogHistogram(min_value=1e-3, growth=2.0, n_buckets=44)
-        for i in range(0, 40):
-            v = hist.bucket_bound(i)
-            assert hist.bucket_index(v) == i, f"bound {i} misplaced"
-            # Just above an inclusive bound falls into the next bucket.
-            assert hist.bucket_index(v * 1.0000001) == i + 1
+        # Upper bounds are inclusive on the positive side: v == bound[i]
+        # belongs to bucket i; the mirrored -v belongs to its mirror.
+        for i in range(N_BUCKETS - 1):
+            v = MIN_BOUND * GROWTH**i
+            assert LogHistogram.bucket_index(v) == N_BUCKETS + i, i
+            assert LogHistogram.bucket_index(-v) == N_BUCKETS - 1 - i, i
+            # Just past an inclusive bound falls into the next bucket.
+            assert LogHistogram.bucket_index(v * 1.0000001) == N_BUCKETS + i + 1
+            assert LogHistogram.bucket_index(-v * 1.0000001) == N_BUCKETS - 2 - i
 
     def test_underflow_and_overflow_clamp(self):
-        hist = LogHistogram(min_value=1.0, growth=2.0, n_buckets=4)
-        assert hist.bucket_index(0.0) == 0
-        assert hist.bucket_index(-5.0) == 0
-        assert hist.bucket_index(1e12) == 3
-        hist.observe(1e12)
-        assert hist.count == 1  # overflow counted, not dropped
+        index = LogHistogram.bucket_index
+        assert index(0.0) == index(-0.0) == index(MIN_BOUND / 10) == N_BUCKETS
+        assert index(-MIN_BOUND / 10) == N_BUCKETS - 1
+        assert index(1e12) == index(math.inf) == 2 * N_BUCKETS - 1
+        assert index(-1e12) == index(-math.inf) == 0
+        hist = filled([1e12, math.inf, -math.inf])
+        assert hist.count == 3  # overflow counted, not dropped
 
     def test_every_observation_lands_somewhere(self):
         rng = random.Random(7)
         hist = LogHistogram()
-        values = [rng.lognormvariate(0.0, 3.0) for _ in range(500)]
+        values = [
+            rng.choice((-1, 1)) * rng.lognormvariate(0.0, 3.0) for _ in range(500)
+        ]
         for v in values:
             hist.observe(v)
         assert sum(hist.counts) == hist.count == 500
         assert hist.total == pytest.approx(sum(values))
         assert hist.vmin == min(values)
         assert hist.vmax == max(values)
+        for v in values:
+            lo, hi = LogHistogram.bucket_edges(LogHistogram.bucket_index(v))
+            assert lo <= v <= hi
 
 
 class TestQuantiles:
@@ -115,7 +127,7 @@ class TestQuantiles:
             true = values[int(q * len(values)) - 1]
             est = hist.quantile(q)
             # The estimate lives within one geometric bucket of truth.
-            assert true / hist.growth <= est <= true * hist.growth
+            assert true / GROWTH <= est <= true * GROWTH
 
     def test_quantiles_monotone_and_clamped(self):
         hist = filled([0.5, 1.5, 2.5, 100.0])
@@ -133,9 +145,35 @@ class TestQuantiles:
     def test_mean_matches_arithmetic_mean(self):
         assert filled([1.0, 2.0, 3.0]).mean == pytest.approx(2.0)
 
+    def test_negative_quantiles_within_one_bucket_of_truth(self):
+        rng = random.Random(5)
+        values = sorted(-rng.uniform(0.01, 500.0) for _ in range(1000))
+        hist = filled(values)
+        for q in (0.01, 0.1, 0.5):
+            true = values[int(q * len(values)) - 1]
+            est = hist.quantile(q)
+            assert true * GROWTH <= est <= true / GROWTH
+
+    def test_infinities_are_returned_not_nan(self):
+        # LFD-style cutoffs: a never-recurring victim scores -inf.
+        # Interpolating towards an infinite edge would give inf - inf =
+        # NaN; the infinite extreme is returned instead.
+        hist = filled([-math.inf, -math.inf, -3.0, 5.0, math.inf])
+        assert hist.quantile(0.0) == hist.quantile(0.4) == -math.inf
+        assert hist.quantile(1.0) == math.inf
+        bound = MIN_BOUND * GROWTH**11  # -3.0 sits in [-2 * bound, -bound)
+        assert -2 * bound <= hist.quantile(0.6) <= -bound
+        for q in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0):
+            assert not math.isnan(hist.quantile(q))
+
+    def test_finite_overflow_interpolates_to_observed_max(self):
+        big = MIN_BOUND * GROWTH ** (N_BUCKETS + 2)
+        hist = filled([big, big])
+        assert hist.quantile(0.5) == big
+
 
 class TestMerge:
-    """Exact same-layout merge; lossless mismatched-layout rebin."""
+    """Merge adds bucket counts: exact, associative, commutative."""
 
     def test_partitioned_merge_is_bucket_identical(self):
         # The acceptance bound for live resharding: observations split
@@ -175,16 +213,46 @@ class TestMerge:
         assert empty.counts == donor.counts
         assert empty.vmin == donor.vmin and empty.vmax == donor.vmax
 
-    def test_mismatched_layout_rebin_preserves_count_and_sum(self):
-        donor = filled([0.5, 3.0, 77.0], min_value=0.1, growth=3.0,
-                       n_buckets=12)
-        target = filled([10.0])
-        target.merge(donor.state())
-        assert target.count == 4
-        assert sum(target.counts) == 4
-        assert target.total == pytest.approx(10.0 + 0.5 + 3.0 + 77.0)
-        assert target.vmin == 0.5
-        assert target.vmax == 77.0
+
+def _sum_close(merged: float, whole: float, values) -> bool:
+    """Sums agree up to float summation order (1e-12 of the magnitude)."""
+    if math.isnan(whole) or math.isinf(whole):
+        return repr(merged) == repr(whole)
+    return abs(merged - whole) <= 1e-12 * math.fsum(abs(v) for v in values)
+
+
+#: Floats of either sign plus the edge values a gauge can carry.
+GAUGE_VALUES = st.one_of(
+    st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+)
+
+#: Quantiles every merge must reproduce exactly.
+QS = (0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
+
+
+class TestMergeProperty:
+    """Split, observe, merge: the union histogram, bucket for bucket."""
+
+    @given(
+        items=st.lists(st.tuples(GAUGE_VALUES, st.integers(0, 3)), max_size=80)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_split_merge_equals_whole(self, items):
+        values = [v for v, _ in items]
+        whole = filled(values)
+        parts = [LogHistogram("part") for _ in range(4)]
+        for v, k in items:
+            parts[k].observe(v)
+        merged = LogHistogram("merged")
+        for part in parts:
+            merged.merge(json.loads(json.dumps(part.state())))
+        assert merged.counts == whole.counts
+        assert merged.count == whole.count
+        assert merged.vmin == whole.vmin and merged.vmax == whole.vmax
+        assert _sum_close(merged.total, whole.total, values)
+        for q in QS:
+            assert merged.quantile(q) == whole.quantile(q), q
 
 
 class TestState:
@@ -234,7 +302,24 @@ class TestCumulativeBuckets:
     def test_trailing_empty_buckets_elided(self):
         hist = filled([1.0])  # far below the top of the default range
         pairs = hist.cumulative_buckets()
-        assert len(pairs) < DEFAULT_N_BUCKETS
+        assert len(pairs) < N_BUCKETS
+
+    def test_nonnegative_histograms_start_at_the_zero_bucket(self):
+        # Latency histograms never see negatives: their exposition keeps
+        # the 1 µs first bucket, whatever the mirrored half holds.
+        pairs = filled([0.5, 3.0]).cumulative_buckets()
+        assert pairs[0] == (MIN_BOUND, 0)
+        assert [b for b, _ in pairs[:-1]] == [
+            MIN_BOUND * GROWTH**i for i in range(len(pairs) - 1)
+        ]
+
+    def test_negative_buckets_precede_zero(self):
+        pairs = filled([-3.0, -0.5, 2.0]).cumulative_buckets()
+        bounds = [b for b, _ in pairs]
+        assert bounds == sorted(bounds)
+        assert bounds[0] == -MIN_BOUND * GROWTH**11  # -3.0's exclusive edge
+        assert dict(pairs)[0.0] == 2
+        assert pairs[-1] == (math.inf, 3)
 
 
 class TestHistogramSet:

@@ -4,10 +4,13 @@ Pins the acceptance contract of the time-series layer:
 
 * the batch engine's simulator series are **bit-identical** to the
   scalar engine's — full snapshot states including downsampling buffers
-  and quantile sketches — because batch replays its per-trial logs
-  trial-major in the same order the scalar loop offered them;
-* the parallel engine's sketch-merge keeps count/sum/min/max exact and
-  quantiles within sketch tolerance;
+  and histograms — because batch replays its per-trial logs trial-major
+  in the same order the scalar loop offered them;
+* the parallel engine's merged series equal the scalar run's exactly:
+  histogram state (bucket counts, count, sum, min, max) and therefore
+  every quantile;
+* infinite gauge values (LFD's ``-inf`` cutoffs) are counted, never
+  turned into NaN;
 * every documented emitter actually emits: simulators (occupancy,
   cumulative results/hits, hit rate), scored policies (score cutoff,
   mirrored bit-identically by the batch tier for exactly-scored
@@ -17,12 +20,15 @@ Pins the acceptance contract of the time-series layer:
 
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
-import pytest
 
 from repro.obs import CounterRecorder, NullRecorder
 from repro.policies import LruPolicy, make_policy
 from repro.policies.flowexpect_policy import FlowExpectPolicy
+from repro.policies.lfd import LfdPolicy
 from repro.sim.cache_sim import CacheSimulator
 from repro.sim.engine import ExperimentSpec, ParallelEngine, ScalarEngine
 from repro.sim.join_sim import JoinSimulator
@@ -100,7 +106,7 @@ class TestBatchSeriesParity:
 
 
 class TestParallelSeriesMerge:
-    """Worker sketches merge back: exact aggregates, close quantiles."""
+    """Worker histograms merge back exactly: state and quantiles."""
 
     def test_merged_aggregates_and_quantiles(self):
         spec, paths = _join_spec_and_paths()
@@ -109,23 +115,45 @@ class TestParallelSeriesMerge:
         ParallelEngine(max_workers=2).run(
             spec, lambda: LruPolicy(), paths, recorder=rec_par
         )
-        scalar = rec_scalar.snapshot()["series"]
-        par = rec_par.snapshot()["series"]
         for name in JOIN_SIM_SERIES:
-            s, p = scalar[name], par[name]
-            assert p["count"] == s["count"]
-            assert p["min"] == s["min"]
-            assert p["max"] == s["max"]
-            assert p["sum"] == pytest.approx(s["sum"], rel=1e-12)
-        # Quantile comparison via the public TimeSeries API:
-        from repro.obs import TimeSeries
+            ts_s = rec_scalar.series_data[name]
+            ts_p = rec_par.series_data[name]
+            # Integer-valued gauges: even the sum is order-independent.
+            assert ts_p.hist.state() == ts_s.hist.state(), name
+            for q in (0.5, 0.9, 0.99):
+                assert ts_p.quantile(q) == ts_s.quantile(q), (name, q)
 
-        for name in JOIN_SIM_SERIES:
-            ts_s = TimeSeries.from_state(name, scalar[name])
-            ts_p = TimeSeries.from_state(name, par[name])
-            spread = max(scalar[name]["max"] - scalar[name]["min"], 1e-9)
-            for q in (0.5, 0.9):
-                assert abs(ts_p.quantile(q) - ts_s.quantile(q)) < 0.1 * spread
+
+class TestInfiniteValues:
+    """LFD evicts never-recurring values with a ``-inf`` cutoff."""
+
+    def test_lfd_cutoffs_give_no_nan(self):
+        random.seed(0)
+        ref = [random.randint(0, 40) for _ in range(300)]
+        points: list[float] = []
+
+        class Capturing(CounterRecorder):
+            def series(self, name, t, value):
+                super().series(name, t, value)
+                if name == "scores.cutoff":
+                    points.append(value)
+
+        rec = Capturing()
+        CacheSimulator(5, LfdPolicy(ref), recorder=rec).run(ref)
+        cutoff = rec.series_data["scores.cutoff"]
+        assert cutoff.count == len(points) == 188
+        assert cutoff.vmin == -math.inf == min(points)
+        assert cutoff.vmax == max(points)
+        ordered = sorted(points)
+        for q in (0.0, 0.1, 0.5, 0.9, 0.99, 1.0):
+            est = cutoff.quantile(q)
+            assert not math.isnan(est), q
+            # Within one factor-2 bucket of the nearest-rank truth.
+            true = ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+            if math.isinf(true):
+                assert est == true, q
+            else:
+                assert true * 2 <= est <= true / 2, q
 
 
 class TestEmitters:

@@ -1,174 +1,28 @@
-"""Bounded-memory time-series primitives: sketches, buffers, merging.
+"""Bounded-memory time-series primitives: buffers, histograms, merging.
 
 Pins the contracts ``docs/OBSERVABILITY.md`` states for
 :mod:`repro.obs.timeseries`:
 
-* :class:`P2Quantile` is *exact* below five observations and accurate
-  (within a few percent of the true quantile) on larger streams;
 * :class:`SeriesBuffer` never exceeds its budget regardless of stream
   length, keeps an evenly-strided sample, and is deterministic in the
   order points are offered;
-* :class:`TimeSeries` snapshots round-trip through ``from_state`` and
-  ``merge`` preserves the exact aggregates (count/sum/min/max);
+* :class:`TimeSeries` snapshots round-trip through ``from_state``, and
+  ``merge`` is exact on the histogram: split-and-merged series equal
+  the whole series' count/min/max, bucket counts and every quantile;
 * :func:`sparkline` renders any numeric list without blowing up on
   constant or empty input.
 """
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import P2Quantile, SeriesBuffer, TimeSeries, sparkline
-
-
-class TestP2Quantile:
-    """Streaming quantile sketch accuracy and mergeability."""
-
-    def test_exact_below_five_observations(self):
-        for values in ([3.0], [5.0, 1.0], [2.0, 9.0, 4.0], [7.0, 1.0, 3.0, 5.0]):
-            sketch = P2Quantile(0.5)
-            for v in values:
-                sketch.add(v)
-            ranked = sorted(values)
-            # Nearest-rank median on the tiny sorted sample.
-            k = max(0, min(len(ranked) - 1, round(0.5 * (len(ranked) - 1))))
-            assert sketch.value() == ranked[k]
-
-    @pytest.mark.parametrize("q", [0.5, 0.9])
-    def test_accuracy_on_large_stream(self, q):
-        rng = np.random.default_rng(7)
-        values = rng.normal(10.0, 3.0, size=5000)
-        sketch = P2Quantile(q)
-        for v in values:
-            sketch.add(float(v))
-        exact = float(np.quantile(values, q))
-        spread = float(values.max() - values.min())
-        assert abs(sketch.value() - exact) < 0.02 * spread
-
-    def test_state_round_trip(self):
-        sketch = P2Quantile(0.9)
-        for v in range(100):
-            sketch.add(float(v))
-        clone = P2Quantile.from_state(sketch.state())
-        assert clone.value() == sketch.value()
-        assert clone.state() == sketch.state()
-
-    def test_merge_approximates_union(self):
-        rng = np.random.default_rng(3)
-        values = rng.uniform(0.0, 100.0, size=4000)
-        full = P2Quantile(0.5)
-        left, right = P2Quantile(0.5), P2Quantile(0.5)
-        for i, v in enumerate(values):
-            full.add(float(v))
-            (left if i % 2 == 0 else right).add(float(v))
-        left.merge(right.state())
-        assert left.value() == pytest.approx(full.value(), rel=0.1)
-
-    def test_merge_of_tiny_donor_is_exact_replay(self):
-        base = P2Quantile(0.5)
-        donor = P2Quantile(0.5)
-        for v in (1.0, 2.0):
-            base.add(v)
-        for v in (3.0, 4.0):
-            donor.add(v)
-        base.merge(donor.state())
-        reference = P2Quantile(0.5)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            reference.add(v)
-        assert base.value() == reference.value()
-
-
-class TestP2QuantileFractionalWeights:
-    """Weighted observations must not lose mass in the initial phase.
-
-    Regression for the seeding bug where ``add(x, weight)`` replayed
-    ``int(weight)`` unit observations, silently dropping the fractional
-    remainder (a ``weight=0.5`` add contributed nothing at all)."""
-
-    def test_fractional_weight_counts_full_mass(self):
-        sketch = P2Quantile(0.5)
-        for v in (1.0, 2.0, 3.0, 4.0, 5.0):
-            sketch.add(v, weight=0.5)
-        assert sketch.count == pytest.approx(2.5)
-        assert sketch.value() == 3.0
-
-    def test_sub_unit_weight_is_not_dropped(self):
-        sketch = P2Quantile(0.5)
-        sketch.add(7.0, weight=0.25)
-        assert sketch.count == pytest.approx(0.25)
-        assert sketch.value() == 7.0
-
-    @given(
-        weights=st.lists(
-            st.floats(min_value=0.1, max_value=3.0, allow_nan=False),
-            min_size=1,
-            max_size=40,
-        ),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_count_position_consistency(self, weights, seed):
-        """``positions[4] == count`` whenever the markers are live, and
-        the buffered mass equals ``count`` before that — no weight is
-        ever truncated on either path."""
-        rng = np.random.default_rng(seed)
-        sketch = P2Quantile(0.5)
-        for w in weights:
-            sketch.add(float(rng.normal()), weight=w)
-        assert sketch.count == pytest.approx(sum(weights))
-        if sketch._heights:
-            assert sketch._positions[4] == pytest.approx(sketch.count)
-        else:
-            buffered = sum(w for _, w in sketch._initial)
-            assert buffered == pytest.approx(sketch.count)
-
-    @given(
-        left_weights=st.lists(
-            st.floats(min_value=0.1, max_value=2.0, allow_nan=False),
-            min_size=1,
-            max_size=4,
-        ),
-        right_weights=st.lists(
-            st.floats(min_value=0.1, max_value=2.0, allow_nan=False),
-            min_size=1,
-            max_size=4,
-        ),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_merge_preserves_fractional_mass(self, left_weights, right_weights):
-        """Merging tiny sketches replays (value, weight) pairs, so the
-        union's count is the exact sum of both sides' weights."""
-        left, right = P2Quantile(0.5), P2Quantile(0.5)
-        for i, w in enumerate(left_weights):
-            left.add(float(i), weight=w)
-        for i, w in enumerate(right_weights):
-            right.add(float(10 + i), weight=w)
-        left.merge(right.state())
-        assert left.count == pytest.approx(
-            sum(left_weights) + sum(right_weights)
-        )
-        assert left.value() is not None
-
-    def test_weighted_state_round_trip(self):
-        sketch = P2Quantile(0.9)
-        for i in range(8):
-            sketch.add(float(i), weight=0.5 + 0.25 * i)
-        clone = P2Quantile.from_state(sketch.state())
-        assert clone.value() == sketch.value()
-        assert clone.state() == sketch.state()
-
-    def test_legacy_bare_float_state_still_loads(self):
-        # Pre-weighted snapshots stored the initial buffer as bare
-        # floats; they must round-trip as unit-weight observations.
-        sketch = P2Quantile(0.5)
-        sketch.add(1.0)
-        sketch.add(2.0)
-        state = sketch.state()
-        state["initial"] = [1.0, 2.0]
-        clone = P2Quantile.from_state(state)
-        assert clone.value() == sketch.value()
+from repro.obs import SeriesBuffer, TimeSeries, sparkline
 
 
 class TestSeriesBuffer:
@@ -219,7 +73,7 @@ class TestSeriesBuffer:
 
 
 class TestTimeSeries:
-    """Combined aggregates + buffer + sketches."""
+    """Histogram-backed aggregates + downsampling buffer."""
 
     def test_exact_aggregates(self):
         ts = TimeSeries("gauge")
@@ -254,20 +108,75 @@ class TestTimeSeries:
             assert a[key] == b[key]
         # Sum is exact up to float summation order.
         assert a["sum"] == pytest.approx(b["sum"], rel=1e-12)
-        # Quantiles are sketch-merged: approximate, not exact.  Bound
-        # the error relative to the data range (the honest metric for a
-        # five-marker sketch), not the value.
-        assert abs(left.quantile(0.5) - full.quantile(0.5)) < 0.1 * (
-            b["max"] - b["min"]
-        )
+        assert a["hist"]["counts"] == b["hist"]["counts"]
+        for q in (0.5, 0.9, 0.99):
+            assert left.quantile(q) == full.quantile(q)
 
     def test_snapshot_is_json_serializable(self):
-        import json
-
         ts = TimeSeries("g")
         for t in range(50):
             ts.add(t, float(t))
         json.dumps(ts.snapshot())
+
+    def test_any_quantile_is_answered(self):
+        ts = TimeSeries("g")
+        for t in range(1, 101):
+            ts.add(t, float(t))
+        assert ts.quantile(0.0) == 1.0
+        assert ts.quantile(1.0) == 100.0
+        for q in (0.05, 0.37, 0.5, 0.9, 0.999):
+            true = float(np.quantile(np.arange(1, 101), q))
+            assert true / 2 <= ts.quantile(q) <= true * 2, q
+        with pytest.raises(ValueError):
+            ts.quantile(1.5)
+
+    def test_legacy_quantiles_key_is_ignored(self):
+        ts = TimeSeries("g")
+        for t in range(20):
+            ts.add(t, float(t))
+        legacy = ts.snapshot()
+        legacy["quantiles"] = {"0.5": {"q": 0.5, "count": 20.0}}
+        assert TimeSeries.from_state("g", legacy).snapshot() == ts.snapshot()
+        merged = TimeSeries("g")
+        merged.merge(legacy)
+        assert merged.snapshot()["hist"] == ts.snapshot()["hist"]
+
+    @given(
+        items=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+                    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+                ),
+                st.integers(0, 3),
+            ),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_split_merge_equals_whole(self, items):
+        """Any k-way split of the points, merged, is the whole series'
+        histogram: counts, count, min, max and every quantile exactly;
+        sum to 1e-12 of the values' magnitude (float summation order)."""
+        whole = TimeSeries("g")
+        parts = [TimeSeries("g") for _ in range(4)]
+        for t, (v, k) in enumerate(items):
+            whole.add(t, v)
+            parts[k].add(t, v)
+        merged = TimeSeries("g")
+        for part in parts:
+            merged.merge(json.loads(json.dumps(part.snapshot())))
+        a, b = merged.hist, whole.hist
+        assert a.counts == b.counts
+        assert (a.count, a.vmin, a.vmax) == (b.count, b.vmin, b.vmax)
+        assert (merged.last_t, merged.last) == (whole.last_t, whole.last)
+        if math.isnan(b.total) or math.isinf(b.total):
+            assert repr(a.total) == repr(b.total)
+        else:
+            magnitude = math.fsum(abs(v) for v, _ in items)
+            assert abs(a.total - b.total) <= 1e-12 * magnitude
+        for q in (0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0):
+            assert merged.quantile(q) == whole.quantile(q), q
 
 
 class TestSparkline:
