@@ -49,13 +49,6 @@ CI floor; FlowExpect gets the separate, lower
 optimized fast path (the Amdahl argument is spelled out in
 ``docs/PERFORMANCE.md``).
 
-The ``native`` section runs one FlowExpect experiment through
-``run_experiment(native=...)`` with the compiled kernels off and on,
-asserts identical decisions, and records the speedup; on a numba-free
-install both runs use the reference kernels and the entry says so.
-``--min-native-speedup`` is the CI native-leg floor, enforced only when
-numba is importable.
-
 The ``sketch`` section runs the bounded-memory cache workload of
 :func:`run_sketch_bench`: a ``cache_size=10**6`` skewed reference
 stream under ``LfuPolicy(counts="sketch")`` plus the bloom
@@ -76,8 +69,7 @@ Usage::
         [--fe-lookahead 8] [--min-fe-speedup X] [--max-null-overhead P]
         [--batchcov-trials 192] [--batchcov-length 400]
         [--min-batch-speedup X] [--min-fe-batch-speedup X]
-        [--skip-batchcov] [--native-length 200] [--native-lookahead 8]
-        [--min-native-speedup X] [--skip-native]
+        [--skip-batchcov]
         [--serve-length 2000] [--serve-shards 4] [--serve-queue 256]
         [--skip-serve] [--multi-length 300] [--multi-trials 64]
         [--multi-serve-length 1500] [--multi-shards 3] [--skip-multi]
@@ -558,94 +550,6 @@ def enforce_batch_coverage_floors(
             )
 
 
-def run_native_bench(
-    length: int, lookahead: int, n_trials: int = 4
-) -> dict:
-    """Time a FlowExpect join with and without the compiled kernels.
-
-    Runs the identical FLOOR-config experiment twice through
-    ``run_experiment(native=...)`` — the knob routes every
-    :func:`~repro.flow.native.solve_unit_flow` call to the numba kernel
-    when available — and asserts the decisions (totals, occupancy)
-    are identical before reporting the speedup.  On a numba-free
-    install the native run degrades to the reference kernels; the entry
-    records ``native_available`` so a ~1x speedup is legible, and the
-    ``--min-native-speedup`` floor only applies when the compiled
-    kernels can actually run.
-    """
-    from repro.flow.native import native_available
-    from repro.sim.engine import ExperimentSpec
-    from repro.sim.runner import run_experiment
-
-    config = make_config("floor")
-    spec = ExperimentSpec(
-        kind="join",
-        cache_size=CACHE_SIZE,
-        r_model=config.r_model,
-        s_model=config.s_model,
-    )
-    paths = generate_paths(
-        config.r_model, config.s_model, length, n_trials, seed=21
-    )
-    factory = lambda: FlowExpectPolicy(
-        lookahead, config.r_model, config.s_model, fast=True
-    )
-
-    # The first native call pays jit compilation; a tiny warm-up run on
-    # both legs keeps that out of the timed comparison.
-    warm_paths = generate_paths(
-        config.r_model, config.s_model, min(length, 40), 1, seed=22
-    )
-    for native in (False, True):
-        run_experiment(spec, factory, warm_paths, native=native)
-
-    seconds = {}
-    results = {}
-    for label, native in (("reference", False), ("native", True)):
-        t0 = time.perf_counter()
-        results[label] = run_experiment(
-            spec, factory, paths, native=native
-        )
-        seconds[label] = time.perf_counter() - t0
-    _assert_equal("FLOOR", "FLOWEXPECT", "native",
-                  results["reference"], results["native"])
-
-    available = native_available()
-    entry = {
-        "config": "FLOOR",
-        "length": length,
-        "lookahead": lookahead,
-        "trials": n_trials,
-        "cache_size": CACHE_SIZE,
-        "native_available": available,
-        "engine_used": results["native"].engine_used,
-        "reference_seconds": round(seconds["reference"], 4),
-        "native_seconds": round(seconds["native"], 4),
-        "reference_ms_per_step": round(
-            1000 * seconds["reference"] / (length * n_trials), 4
-        ),
-        "native_ms_per_step": round(
-            1000 * seconds["native"] / (length * n_trials), 4
-        ),
-        "native_speedup": (
-            round(seconds["reference"] / seconds["native"], 2)
-            if available
-            else None
-        ),
-    }
-    print(
-        f"native   la={lookahead:2d} len={length} trials={n_trials} "
-        f"reference {seconds['reference']:7.3f}s  native "
-        f"{seconds['native']:7.3f}s "
-        + (
-            f"({entry['native_speedup']:5.1f}x, {entry['engine_used']})"
-            if available
-            else "(numba absent: reference kernels on both runs)"
-        )
-    )
-    return entry
-
-
 def run_serve_bench(
     length: int,
     n_shards: int,
@@ -1094,31 +998,6 @@ def main() -> None:
         help="skip the batch-coverage adapter benchmark",
     )
     parser.add_argument(
-        "--native-length",
-        type=int,
-        default=200,
-        help="stream length for the native-kernel benchmark",
-    )
-    parser.add_argument(
-        "--native-lookahead",
-        type=int,
-        default=8,
-        help="FlowExpect lookahead for the native-kernel benchmark",
-    )
-    parser.add_argument(
-        "--min-native-speedup",
-        type=float,
-        default=None,
-        help="fail unless the compiled kernels beat the pure-Python "
-        "reference by this factor (only enforced when numba is "
-        "importable; CI native-leg floor)",
-    )
-    parser.add_argument(
-        "--skip-native",
-        action="store_true",
-        help="skip the native-kernel benchmark",
-    )
-    parser.add_argument(
         "--serve-length",
         type=int,
         default=2000,
@@ -1231,20 +1110,6 @@ def main() -> None:
             f"FlowExpect fast-path speedup {fe_entry['fast_speedup']}x is "
             f"below the required floor {args.min_fe_speedup}x"
         )
-    native_entry = None
-    if not args.skip_native:
-        native_entry = run_native_bench(
-            args.native_length, args.native_lookahead
-        )
-        if (
-            args.min_native_speedup is not None
-            and native_entry["native_available"]
-            and native_entry["native_speedup"] < args.min_native_speedup
-        ):
-            raise SystemExit(
-                f"native kernel speedup {native_entry['native_speedup']}x "
-                f"is below the required floor {args.min_native_speedup}x"
-            )
     batchcov = None
     if not args.skip_batchcov:
         batchcov = run_batch_coverage_bench(
@@ -1263,8 +1128,6 @@ def main() -> None:
     report["flowexpect"] = fe_entry
     if batchcov is not None:
         report["batch_coverage"] = batchcov
-    if native_entry is not None:
-        report["native"] = native_entry
     if not args.skip_serve:
         report["serve"] = run_serve_bench(
             args.serve_length,

@@ -12,14 +12,14 @@ import numpy as np
 
 from repro.core.lifetime import LExp, alpha_for_mean_lifetime
 from repro.experiments.report import format_table
-from repro.sim.multi_join import (
-    MultiHeebPolicy,
-    MultiJoinSimulator,
-    MultiProbPolicy,
-    MultiRandPolicy,
-    MultiScheduledPolicy,
-    solve_opt_offline_multi,
+from repro.policies import (
+    GenericJoinHeeb,
+    HeebPolicy,
+    ProbPolicy,
+    RandPolicy,
+    ScheduledPolicy,
 )
+from repro.sim.multi_join import MultiJoinSimulator, solve_opt_offline_multi
 from repro.streams import LinearTrendStream, bounded_normal
 
 LENGTH = 800
@@ -46,16 +46,16 @@ def _run_all():
         }
         sol = solve_opt_offline_multi(streams, QUERIES, CACHE)
         opt_run = MultiJoinSimulator(
-            CACHE, MultiScheduledPolicy(sol), queries=QUERIES,
+            CACHE, ScheduledPolicy(sol), queries=QUERIES,
             warmup=4 * CACHE,
         ).run(streams)
         totals["OPT-OFFLINE"] = (
             totals.get("OPT-OFFLINE", 0.0) + opt_run.results_after_warmup
         )
         for name, policy in (
-            ("HEEB", MultiHeebPolicy(LExp(alpha), horizon=80)),
-            ("PROB", MultiProbPolicy()),
-            ("RAND", MultiRandPolicy(seed=run)),
+            ("HEEB", HeebPolicy(GenericJoinHeeb(LExp(alpha), horizon=80))),
+            ("PROB", ProbPolicy()),
+            ("RAND", RandPolicy(seed=run)),
         ):
             result = MultiJoinSimulator(
                 CACHE, policy, queries=QUERIES, warmup=4 * CACHE,

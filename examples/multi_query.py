@@ -19,14 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.lifetime import LExp, alpha_for_mean_lifetime
-from repro.sim.multi_join import (
-    MultiHeebPolicy,
-    MultiJoinSimulator,
-    MultiProbPolicy,
-    MultiRandPolicy,
-    MultiScheduledPolicy,
-    solve_opt_offline_multi,
+from repro.policies import (
+    GenericJoinHeeb,
+    HeebPolicy,
+    ProbPolicy,
+    RandPolicy,
+    ScheduledPolicy,
 )
+from repro.sim.multi_join import MultiJoinSimulator, solve_opt_offline_multi
 from repro.streams import LinearTrendStream, bounded_normal
 
 CACHE_SIZE = 12
@@ -47,9 +47,9 @@ def main() -> None:
 
     alpha = alpha_for_mean_lifetime(4.0)
     policies = {
-        "HEEB (summed benefits)": MultiHeebPolicy(LExp(alpha), horizon=80),
-        "PROB": MultiProbPolicy(),
-        "RAND": MultiRandPolicy(seed=0),
+        "HEEB (summed benefits)": HeebPolicy(GenericJoinHeeb(LExp(alpha), horizon=80)),
+        "PROB": ProbPolicy(),
+        "RAND": RandPolicy(seed=0),
     }
 
     print(
@@ -73,7 +73,7 @@ def main() -> None:
     solution = solve_opt_offline_multi(streams, QUERIES, CACHE_SIZE)
     opt_run = MultiJoinSimulator(
         CACHE_SIZE,
-        MultiScheduledPolicy(solution),
+        ScheduledPolicy(solution),
         queries=QUERIES,
         warmup=4 * CACHE_SIZE,
     ).run(streams)

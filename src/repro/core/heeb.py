@@ -85,8 +85,6 @@ def heeb_join_batch(
     pmf calls.  ``None`` values get ``H = 0``.  Agrees with the scalar
     function up to floating-point summation order.
     """
-    from .kernels import heeb_sweep
-
     h = default_horizon(estimator) if horizon is None else horizon
     weights = estimator.weights(h)
     none_mask = np.array([v is None for v in values], dtype=bool)
@@ -95,7 +93,7 @@ def heeb_join_batch(
     for dt in range(1, h + 1):
         dist = partner.cond_dist(t0 + dt, history)
         probs[:, dt - 1] = dist.pmf_many(safe)
-    out = heeb_sweep(probs, weights)
+    out = probs @ weights
     out[none_mask] = 0.0
     return out
 

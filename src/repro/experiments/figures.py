@@ -122,7 +122,6 @@ def _run_config(
     include_opt: bool = True,
     include_flowexpect: bool = False,
     lookahead: int = 5,
-    batch: bool = False,
     engine: str | None = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> dict[str, float]:
@@ -131,12 +130,9 @@ def _run_config(
     ``engine`` prefers an execution tier (``"batch"``, ``"parallel"``)
     for each policy's trials; capability negotiation falls back to the
     scalar loop where no exact adapter exists (OPT and FlowExpect always
-    negotiate down to scalar).  ``batch=True`` is the legacy alias for
-    ``engine="batch"``.  ``recorder`` is the observability sink shared
-    by every policy's trials (:mod:`repro.obs`).
+    negotiate down to scalar).  ``recorder`` is the observability sink
+    shared by every policy's trials (:mod:`repro.obs`).
     """
-    if engine is None and batch:
-        engine = "batch"
     paths = generate_paths(config.r_model, config.s_model, length, n_runs, seed)
     out: dict[str, float] = {}
     if include_opt:
@@ -205,7 +201,6 @@ def figure8(
     include_flowexpect: bool = True,
     lookahead: int = 5,
     configs: dict[str, JoinConfig] | None = None,
-    batch: bool = False,
     engine: str | None = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> dict[str, dict[str, float]]:
@@ -230,7 +225,6 @@ def figure8(
             include_opt=True,
             include_flowexpect=include_flowexpect,
             lookahead=lookahead,
-            batch=batch,
             engine=engine,
             recorder=recorder,
         )
@@ -247,7 +241,6 @@ def figure9_12(
     n_runs: int = 3,
     warmup_factor: int = 4,
     seed: int = 0,
-    batch: bool = False,
     engine: str | None = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> dict[str, list[float]]:
@@ -268,7 +261,6 @@ def figure9_12(
             seed,
             include_opt=True,
             include_flowexpect=False,
-            batch=batch,
             engine=engine,
             recorder=recorder,
         )

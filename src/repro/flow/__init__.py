@@ -9,6 +9,7 @@ from .fastpath import (
     FlowExpectFastPath,
     LookaheadTemplate,
     flowexpect_decide_fast,
+    solve_unit_flow,
 )
 from .flowexpect import FlowExpectDecision, flowexpect_decide
 from .graph import LookaheadGraph, build_lookahead_graph, expected_match_prob
@@ -34,4 +35,5 @@ __all__ = [
     "match_times",
     "solve_min_cost_flow",
     "solve_opt_offline",
+    "solve_unit_flow",
 ]

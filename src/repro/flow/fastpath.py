@@ -39,7 +39,6 @@ from ..core.tuples import StreamTuple, partner
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..streams.base import History, StreamModel
 from .flowexpect import FlowExpectDecision
-from .native import solve_unit_flow
 from .prob_table import ProbTable
 from .solver import COST_SCALE
 
@@ -47,6 +46,7 @@ __all__ = [
     "LookaheadTemplate",
     "FlowExpectFastPath",
     "flowexpect_decide_fast",
+    "solve_unit_flow",
 ]
 
 #: Node ids of the virtual terminals in every template.
@@ -83,7 +83,6 @@ class LookaheadTemplate:
         "topo",
         "src_arcs",
         "costed",
-        "_arrays",
     )
 
     def __init__(self, n_candidates: int, lookahead: int):
@@ -145,12 +144,9 @@ class LookaheadTemplate:
             self.out_arcs[u].append(a)
             self.adj[u].append(2 * a)
             self.adj[v].append(2 * a + 1)
-        #: Flat int64 skeleton views, built lazily by
-        #: :func:`repro.flow.native.template_arrays` for the compiled solver.
-        self._arrays = None
 
 
-def _solve_unit_flow(
+def solve_unit_flow(
     template: LookaheadTemplate, cost: list[int], amount: int
 ) -> list[bool]:
     """Min-cost flow of ``amount`` units on the template's unit-cap DAG.
@@ -160,7 +156,8 @@ def _solve_unit_flow(
     paths by Dijkstra over the residual network with Johnson potentials
     keeping reduced costs nonnegative.  Exact on integer costs.
 
-    Returns a per-forward-arc "carries flow" mask.
+    Returns a per-forward-arc "carries flow" mask; raises
+    :class:`RuntimeError` when the DAG cannot carry ``amount`` units.
     """
     tails, heads, adj = template.tails, template.heads, template.adj
     n_nodes = template.n_nodes

@@ -50,8 +50,7 @@ import numpy as np
 from ..core.heeb import heeb_cache, heeb_join, heeb_join_band
 from ..core.lifetime import LExp, WindowedLExp
 from ..core.precompute import H1Table, H2Surface
-from ..flow.fastpath import LookaheadTemplate
-from ..flow.native import solve_unit_flow
+from ..flow.fastpath import LookaheadTemplate, solve_unit_flow
 from ..flow.prob_table import ProbTable
 from ..flow.solver import COST_SCALE
 from ..streams.ar1 import AR1Stream
@@ -1203,7 +1202,7 @@ class BatchFlowExpect(BatchPolicy):
     Each eviction round mirrors
     :meth:`~repro.flow.fastpath.FlowExpectFastPath.decide` per trial —
     the same integer cost rounding, the same uid-rank perturbation, one
-    :func:`~repro.flow.native.solve_unit_flow` call — while sharing all
+    :func:`~repro.flow.fastpath.solve_unit_flow` call — while sharing all
     trial-independent work across the batch:
 
     * one :class:`~repro.flow.prob_table.ProbTable` answers every
@@ -1219,8 +1218,7 @@ class BatchFlowExpect(BatchPolicy):
 
     The per-trial solver calls remain the dominant cost, which is why
     this adapter's batch speedup is modest compared to the scored
-    adapters (see ``docs/PERFORMANCE.md``); the compiled kernel behind
-    ``REPRO_NATIVE=1`` is the lever that accelerates it further.
+    adapters (see ``docs/PERFORMANCE.md``).
 
     ``counter_totals`` mirrors the scalar ``flow.solves`` /
     ``flow.solver_iterations`` counters; wall-clock series
@@ -1336,11 +1334,10 @@ class BatchMultiPolicy(BatchPolicy):
 class BatchMultiRand(BatchMultiPolicy):
     """RAND on an n-way topology: per-trial generators, scalar call trace.
 
-    The scalar policy (and the legacy ``MultiRandPolicy``, whose uid
-    pre-sort is the identity on simulator-supplied candidate lists) draws
-    ``rng.choice`` over the candidates in cache-insertion order; the
-    row-prefix layout preserves that order, so delegating to
-    :class:`BatchRand`'s oracle-free select replays the exact draws.
+    The scalar policy draws ``rng.choice`` over the candidates in
+    cache-insertion order; the row-prefix layout preserves that order, so
+    delegating to :class:`BatchRand`'s oracle-free select replays the
+    exact draws.
     """
 
     name = "RAND"

@@ -14,8 +14,7 @@ the same decisions as the scalar simulators, tuple for tuple.  The
 scalar path therefore remains the reference oracle — the equivalence
 suite (``tests/test_batch_equivalence.py``) pins every supported policy
 to it — and the batch path is a drop-in accelerator selected with
-``engine="batch"`` on the runner entry points (the legacy ``batch=True``
-flag survives as a deprecated alias).
+``engine="batch"`` on the runner entry points.
 
 Layout invariants the engine maintains:
 

@@ -7,175 +7,46 @@ in computation of expected benefit of the horizontal arc: ... this
 expected benefit is a summary of each expected benefit of the binary
 join with one partner stream."
 
-Since the policy layer became partner-aware
+The policy layer is partner-aware
 (:class:`repro.policies.base.PolicyContext` addresses streams by name
 when ``partner_names`` is set, with the binary join as the 1-partner
-degenerate case), the unified policies serve both shapes and the
-``Multi*`` classes in this module are **thin deprecated aliases** kept
-for backward compatibility:
+degenerate case), so the unified policies serve both shapes: HEEB over
+:class:`~repro.policies.heeb_policy.GenericJoinHeeb` applies the
+appendix's per-partner benefit summation (the "summary" rule).  This
+module adds what is specific to the n-way shape:
 
 * :class:`MultiJoinSimulator` -- ``n`` named streams, a set of binary
   equijoin queries (stream-name pairs), one shared cache;
-* :class:`MultiHeebPolicy` -- alias of
-  :class:`~repro.policies.heeb_policy.HeebPolicy` over the partner-aware
-  :class:`~repro.policies.heeb_policy.GenericJoinHeeb` (the appendix's
-  per-partner benefit summation, the "summary" rule);
-* :class:`MultiProbPolicy` / :class:`MultiRandPolicy` -- aliases of
-  :class:`~repro.policies.prob.ProbPolicy` /
-  :class:`~repro.policies.rand.RandPolicy`;
 * :func:`solve_opt_offline_multi` -- the compact OPT-offline formulation
   with per-match-step benefit *counts* (a tuple may match arrivals from
   several partners in one step), replayable through the simulator via
-  the ordinary :class:`~repro.policies.scheduled.ScheduledPolicy`.
+  the ordinary :class:`~repro.policies.scheduled.ScheduledPolicy`;
+* :func:`brute_force_multi_benefit` -- the exhaustive oracle for tiny
+  instances.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import networkx as nx
 import numpy as np
 
-from ..core.lifetime import LifetimeEstimator
-from ..core.tuples import CacheState, StreamTuple, TupleFactory
 from ..flow.opt_offline import OfflineSolution
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..policies.base import PolicyContext, ReplacementPolicy
-from ..policies.heeb_policy import GenericJoinHeeb, HeebPolicy
-from ..policies.prob import ProbPolicy
-from ..policies.rand import RandPolicy
-from ..policies.scheduled import ScheduledPolicy
+from ..policies.base import ReplacementPolicy
 from ..streams.base import StreamModel, Value
 from .engine import RunResult
 from .step import build_multi_join_state, multi_join_step, multi_partner_names
 
 __all__ = [
-    "MultiPolicyContext",
-    "MultiJoinPolicy",
-    "MultiHeebPolicy",
-    "MultiProbPolicy",
-    "MultiRandPolicy",
     "MultiJoinRunResult",
     "MultiJoinSimulator",
     "solve_opt_offline_multi",
-    "MultiScheduledPolicy",
     "brute_force_multi_benefit",
 ]
-
-
-def _warn_deprecated_alias(name: str, replacement: str) -> None:
-    """One DeprecationWarning per alias construction (removal on schedule)."""
-    warnings.warn(
-        f"{name} is a deprecated alias; use {replacement} instead "
-        "(the partner-aware unified policy layer, PR 7)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class MultiPolicyContext(PolicyContext):
-    """Deprecated alias: a name-addressed :class:`PolicyContext`.
-
-    Kept so pre-unification callers constructing
-    ``MultiPolicyContext(time=..., cache_size=..., partner_names=...,
-    histories=..., models=...)`` keep working; the unified context
-    exposes the same ``latest_history(name)`` accessor.
-    """
-
-    def __init__(
-        self,
-        time: int,
-        cache_size: int,
-        partner_names: Mapping[str, tuple[str, ...]],
-        histories: Optional[dict[str, list[Value]]] = None,
-        models: Optional[Mapping[str, StreamModel]] = None,
-        recorder: Recorder = NULL_RECORDER,
-    ):
-        _warn_deprecated_alias("MultiPolicyContext", "PolicyContext")
-        super().__init__(
-            kind="multi_join",
-            time=time,
-            cache_size=cache_size,
-            partner_names=partner_names,
-            histories=histories if histories is not None else {},
-            models=models,
-            recorder=recorder,
-        )
-
-
-class MultiJoinPolicy(ReplacementPolicy):
-    """Deprecated alias: multi-join policies are ordinary
-    :class:`~repro.policies.base.ReplacementPolicy` subclasses now (the
-    partner-aware context carries the topology)."""
-
-    name = "multi-policy"
-
-    def __init__(self, *args, **kwargs):
-        _warn_deprecated_alias("MultiJoinPolicy", "ReplacementPolicy")
-        super().__init__(*args, **kwargs)
-
-
-class MultiHeebPolicy(HeebPolicy):
-    """Deprecated alias: HEEB with per-partner benefit summation.
-
-    ``H_x = Σ_{P ∈ partners(stream(x))} Σ_Δt Pr{X^P_{t0+Δt} = v_x} L(Δt)``
-    — exactly what the unified :class:`HeebPolicy` computes over a
-    partner-aware context via the generic strategy.
-    """
-
-    def __init__(self, estimator: LifetimeEstimator, horizon: int | None = None):
-        _warn_deprecated_alias("MultiHeebPolicy", "HeebPolicy(GenericJoinHeeb(...))")
-        super().__init__(GenericJoinHeeb(estimator, horizon))
-        self.estimator = estimator
-        self.horizon = horizon
-
-    def _h_value(self, tup: StreamTuple, ctx: PolicyContext) -> float:
-        """Pre-unification spelling of :meth:`score` (kept for callers)."""
-        return self.strategy.h_value(tup, ctx)
-
-
-class MultiProbPolicy(ProbPolicy):
-    """Deprecated alias: the unified PROB already sums the value's
-    observed frequency across all partner streams on name-addressed
-    contexts."""
-
-    def __init__(self, *args, **kwargs):
-        _warn_deprecated_alias("MultiProbPolicy", "ProbPolicy")
-        super().__init__(*args, **kwargs)
-
-
-class MultiRandPolicy(RandPolicy):
-    """Deprecated alias of :class:`~repro.policies.rand.RandPolicy`.
-
-    Preserves the legacy draw order exactly: candidates are sorted by
-    uid before sampling (a no-op for simulator-supplied candidate
-    lists, which are always uid-ascending, but pinned for hand-built
-    lists).
-    """
-
-    def __init__(self, *args, **kwargs):
-        _warn_deprecated_alias("MultiRandPolicy", "RandPolicy")
-        super().__init__(*args, **kwargs)
-
-    def select_victims(self, candidates, n_evict, ctx):
-        if n_evict <= 0:
-            return []
-        order = sorted(candidates, key=lambda t: t.uid)
-        picks = self._rng.choice(len(order), size=n_evict, replace=False)
-        return [order[i] for i in picks]
-
-
-class MultiScheduledPolicy(ScheduledPolicy):
-    """Deprecated alias: :class:`~repro.policies.scheduled.ScheduledPolicy`
-    replays multi-join schedules unchanged (``(stream_name, arrival)``
-    schedule keys)."""
-
-    def __init__(self, *args, **kwargs):
-        _warn_deprecated_alias("MultiScheduledPolicy", "ScheduledPolicy")
-        super().__init__(*args, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ actually used on the result.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -183,17 +182,12 @@ def generate_reference_paths(
 # ----------------------------------------------------------------------
 # The canonical entry point
 # ----------------------------------------------------------------------
-#: One-time warning dedup for native-kernel requests without numba.
-_NATIVE_WARNED = False
-
-
 def run_experiment(
     spec: ExperimentSpec,
     policy_factory: Callable[[], ReplacementPolicy],
     data: Sequence,
     engine: Union[str, Engine, None] = None,
     recorder: Recorder = NULL_RECORDER,
-    native: bool | None = None,
 ) -> ExperimentResult:
     """Run one policy over pre-sampled trial data on the best engine.
 
@@ -205,48 +199,17 @@ def run_experiment(
     preferred engine does not support the (spec, policy) combination.
     The tier that actually ran is recorded as ``engine_used``.
 
-    ``native`` asks for the compiled hot kernels
-    (:mod:`repro.flow.native`) for the duration of this experiment:
-    ``True``/``False`` override the ``REPRO_NATIVE`` environment
-    variable, ``None`` defers to it.  Like ``engine``, it is a
-    preference — when numba is missing the run proceeds on the
-    pure-Python reference kernels with a one-time logged warning and an
-    ``engine.fallback.native`` counter; when the compiled kernels
-    actually run, ``engine_used`` gains a ``"+native"`` suffix.
-
     ``recorder`` is the observability sink (:mod:`repro.obs`) shared by
     every trial; when it is enabled, its counter snapshot after the run
     is attached to the result's ``metrics``.
     """
-    from ..flow.native import (
-        native_active,
-        native_available,
-        native_requested,
-        set_native_override,
-    )
-
     chosen = select_engine(spec, policy_factory, prefer=engine, recorder=recorder)
-    set_native_override(native)
-    try:
-        if native_requested() and not native_available():
-            global _NATIVE_WARNED
-            if not _NATIVE_WARNED:
-                _NATIVE_WARNED = True
-                logging.getLogger(__name__).warning(
-                    "native kernels requested but numba is not installed; "
-                    "running the pure-Python reference kernels"
-                )
-            if recorder.enabled:
-                recorder.count("engine.fallback.native")
-        engine_used = chosen.name + ("+native" if native_active() else "")
-        outcome = chosen.run(spec, policy_factory, data, recorder=recorder)
-    finally:
-        set_native_override(None)
+    outcome = chosen.run(spec, policy_factory, data, recorder=recorder)
     result_type = _RESULT_TYPES[spec.kind]
     return result_type(
         policy_name=outcome.policy_name,
         per_run=outcome.per_run,
-        engine_used=engine_used,
+        engine_used=chosen.name,
         metrics=recorder.snapshot() if recorder.enabled else None,
     )
 
@@ -263,17 +226,15 @@ def run_join_experiment(
     r_model: StreamModel | None = None,
     s_model: StreamModel | None = None,
     window_oracle: WindowOracle | None = None,
-    batch: bool = False,
     engine: Union[str, Engine, None] = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> JoinExperimentResult:
     """Shim over :func:`run_experiment` for the joining problem.
 
     ``engine`` selects the execution tier by name (``"scalar"``,
-    ``"batch"``, ``"parallel"``); the legacy ``batch=True`` flag is kept
-    as an alias for ``engine="batch"`` for one release.  Either way the
-    request is a preference: unsupported combinations negotiate down to
-    the scalar loop and record ``engine_used`` accordingly.
+    ``"batch"``, ``"parallel"``).  The request is a preference:
+    unsupported combinations negotiate down to the scalar loop and record
+    ``engine_used`` accordingly.
     """
     spec = ExperimentSpec(
         kind="join",
@@ -284,8 +245,6 @@ def run_join_experiment(
         s_model=s_model,
         window_oracle=window_oracle,
     )
-    if engine is None and batch:
-        engine = "batch"
     result = run_experiment(
         spec, policy_factory, paths, engine=engine, recorder=recorder
     )
@@ -299,7 +258,6 @@ def run_cache_experiment(
     cache_size: int,
     warmup: int = 0,
     reference_model: StreamModel | None = None,
-    batch: bool = False,
     engine: Union[str, Engine, None] = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> CacheExperimentResult:
@@ -310,8 +268,6 @@ def run_cache_experiment(
         warmup=warmup,
         r_model=reference_model,
     )
-    if engine is None and batch:
-        engine = "batch"
     result = run_experiment(
         spec, policy_factory, references, engine=engine, recorder=recorder
     )

@@ -80,7 +80,7 @@ def _join_both(config, factory, *, window=None, seed=0):
     )
     return (
         run_join_experiment(factory, paths, **kwargs),
-        run_join_experiment(factory, paths, batch=True, **kwargs),
+        run_join_experiment(factory, paths, engine="batch", **kwargs),
     )
 
 
@@ -141,7 +141,7 @@ class TestCacheEquivalence:
         refs = generate_reference_paths(model, LENGTH, N_RUNS, seed=7)
         kwargs = dict(cache_size=CACHE, warmup=WARMUP, reference_model=model)
         scalar = run_cache_experiment(make_policy, refs, **kwargs)
-        batch = run_cache_experiment(make_policy, refs, batch=True, **kwargs)
+        batch = run_cache_experiment(make_policy, refs, engine="batch", **kwargs)
         _assert_cache_equal(scalar, batch)
 
     def test_walk_cache_heeb(self):
@@ -151,7 +151,7 @@ class TestCacheEquivalence:
         kwargs = dict(cache_size=CACHE, warmup=WARMUP, reference_model=model)
         factory = lambda: HeebPolicy(WalkCacheHeeb(table))
         scalar = run_cache_experiment(factory, refs, **kwargs)
-        batch = run_cache_experiment(factory, refs, batch=True, **kwargs)
+        batch = run_cache_experiment(factory, refs, engine="batch", **kwargs)
         _assert_cache_equal(scalar, batch)
         assert any(r.hits > 0 for r in scalar.per_run)
 
@@ -159,24 +159,24 @@ class TestCacheEquivalence:
 class TestDeterminism:
     """Same seed, same engine -> byte-identical results, across engines."""
 
-    def _run(self, batch: bool):
+    def _run(self, engine: str):
         config = tower_config()
         return _join_both(config, lambda: RandPolicy(seed=9), seed=42)[
-            1 if batch else 0
+            1 if engine == "batch" else 0
         ]
 
-    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
-    def test_repeat_runs_byte_identical(self, batch):
-        first = self._run(batch)
-        second = self._run(batch)
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_repeat_runs_byte_identical(self, engine):
+        first = self._run(engine)
+        second = self._run(engine)
         for a, b in zip(first.per_run, second.per_run):
             assert a.total_results == b.total_results
             assert a.occupancy.tobytes() == b.occupancy.tobytes()
             assert a.r_occupancy.tobytes() == b.r_occupancy.tobytes()
 
     def test_engines_byte_identical(self):
-        scalar = self._run(batch=False)
-        batch = self._run(batch=True)
+        scalar = self._run("scalar")
+        batch = self._run("batch")
         for a, b in zip(scalar.per_run, batch.per_run):
             assert a.occupancy.tobytes() == b.occupancy.tobytes()
             assert a.r_occupancy.tobytes() == b.r_occupancy.tobytes()
@@ -184,7 +184,7 @@ class TestDeterminism:
 
 class TestScalarFallback:
     def test_unbatchable_policy_falls_back_with_warning(self, caplog):
-        """Sketch-backed PROB has no batch adapter; ``batch=True`` must
+        """Sketch-backed PROB has no batch adapter; ``engine="batch"`` must
         produce the scalar result, record the engine actually used, and
         log a one-time warning instead of failing silently."""
         import logging
@@ -205,7 +205,7 @@ class TestScalarFallback:
         scalar = run_join_experiment(factory, paths, **kwargs)
         engine_mod._FALLBACK_WARNED.clear()
         with caplog.at_level(logging.WARNING, logger="repro.sim.engine"):
-            batch = run_join_experiment(factory, paths, batch=True, **kwargs)
+            batch = run_join_experiment(factory, paths, engine="batch", **kwargs)
         _assert_join_equal(scalar, batch)
         assert scalar.engine_used == "scalar"
         assert batch.engine_used == "scalar"
@@ -221,7 +221,7 @@ class TestScalarFallback:
         # quiet.
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="repro.sim.engine"):
-            run_join_experiment(factory, paths, batch=True, **kwargs)
+            run_join_experiment(factory, paths, engine="batch", **kwargs)
         assert not [
             r
             for r in caplog.records

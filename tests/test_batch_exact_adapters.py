@@ -129,7 +129,7 @@ def _join_both(
     batch = run_join_experiment(
         factory,
         paths,
-        batch=True,
+        engine="batch",
         **kwargs,
         **({"recorder": rec_batch} if rec_batch is not None else {}),
     )
@@ -179,7 +179,7 @@ class TestLruK:
                 lambda: LrukPolicy(k), refs, **kwargs
             )
             batch = run_cache_experiment(
-                lambda: LrukPolicy(k), refs, batch=True, **kwargs
+                lambda: LrukPolicy(k), refs, engine="batch", **kwargs
             )
             assert batch.engine_used == "batch"
             _assert_cache_equal(scalar, batch)
@@ -301,7 +301,7 @@ class TestTrieBinary:
         batch = run_cache_experiment(
             lambda: make_policy("trie"),
             refs,
-            batch=True,
+            engine="batch",
             recorder=rec_batch,
             **kwargs,
         )
@@ -414,7 +414,7 @@ class TestFlowExpectBatch:
             s_model=s_model,
         )
         scalar = run_join_experiment(factory, paths, **kwargs)
-        batch = run_join_experiment(factory, paths, batch=True, **kwargs)
+        batch = run_join_experiment(factory, paths, engine="batch", **kwargs)
         assert batch.engine_used == "batch"
         _assert_join_equal(scalar, batch)
 

@@ -26,6 +26,7 @@ from repro.flow import (
     LookaheadTemplate,
     flowexpect_decide,
     flowexpect_decide_fast,
+    solve_unit_flow,
 )
 from repro.policies.flowexpect_policy import FlowExpectPolicy
 from repro.sim.join_sim import JoinSimulator
@@ -278,6 +279,13 @@ class TestTemplate:
             LookaheadTemplate(0, 3)
         with pytest.raises(ValueError):
             LookaheadTemplate(2, 0)
+
+    def test_infeasible_amount_signals_failure(self):
+        # src fans out one arc per candidate: n+1 units cannot fit.
+        template = LookaheadTemplate(2, 3)
+        cost = [-5] * len(template.tails)
+        with pytest.raises(RuntimeError, match="cannot"):
+            solve_unit_flow(template, cost, 3)
 
     def test_lookahead_one_is_pure_admission(self):
         # With l = 1 the graph is src → candidates → sink: FlowExpect

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from repro.core.lifetime import LExp
 from repro.policies.heeb_policy import GenericJoinHeeb, HeebPolicy
 from repro.sim.join_sim import JoinSimulator
-from repro.sim.multi_join import MultiJoinPolicy, MultiJoinSimulator
-from repro.policies.base import ScoredPolicy
+from repro.sim.multi_join import MultiJoinSimulator
+from repro.policies.base import ReplacementPolicy, ScoredPolicy
 from repro.streams import StationaryStream, from_mapping
 
 
@@ -22,7 +22,7 @@ class KeepLargestValueBinary(ScoredPolicy):
         return float(tup.value)
 
 
-class KeepLargestValueMulti(MultiJoinPolicy):
+class KeepLargestValueMulti(ReplacementPolicy):
     name = "KEEP-LARGEST"
 
     def select_victims(self, candidates, n_evict, ctx):

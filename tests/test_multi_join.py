@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from repro.core.lifetime import LExp
+from repro.policies import (
+    GenericJoinHeeb,
+    HeebPolicy,
+    PolicyContext,
+    ProbPolicy,
+    RandPolicy,
+    ScheduledPolicy,
+)
 from repro.sim.multi_join import (
-    MultiHeebPolicy,
     MultiJoinSimulator,
-    MultiProbPolicy,
-    MultiRandPolicy,
-    MultiScheduledPolicy,
     brute_force_multi_benefit,
     solve_opt_offline_multi,
 )
@@ -23,7 +27,7 @@ from repro.streams import (
 )
 
 
-class KeepOldestMulti(MultiRandPolicy):
+class KeepOldestMulti(RandPolicy):
     name = "KEEP-OLDEST"
 
     def select_victims(self, candidates, n_evict, ctx):
@@ -89,7 +93,7 @@ class TestSimulatorBasics:
             name: list(rng.integers(0, 4, size=50)) for name in "ABC"
         }
         sim = MultiJoinSimulator(
-            3, MultiRandPolicy(seed=1), queries=[("A", "B"), ("B", "C")]
+            3, RandPolicy(seed=1), queries=[("A", "B"), ("B", "C")]
         )
         result = sim.run(streams)
         total_occ = sum(result.occupancy_by_stream[n] for n in "ABC")
@@ -123,7 +127,7 @@ class TestOptOfflineMulti:
         }
         queries = [("A", "B"), ("B", "C")]
         sol = solve_opt_offline_multi(streams, queries, 3)
-        policy = MultiScheduledPolicy(sol)
+        policy = ScheduledPolicy(sol)
         result = MultiJoinSimulator(3, policy, queries=queries).run(streams)
         assert result.total_results == sol.total_benefit
         assert policy.mismatches == 0
@@ -155,9 +159,9 @@ class TestMultiHeeb:
                 for i, (name, model) in enumerate(models.items())
             }
             policies = {
-                "HEEB": MultiHeebPolicy(LExp(3.0), horizon=60),
-                "PROB": MultiProbPolicy(),
-                "RAND": MultiRandPolicy(seed=run),
+                "HEEB": HeebPolicy(GenericJoinHeeb(LExp(3.0), horizon=60)),
+                "PROB": ProbPolicy(),
+                "RAND": RandPolicy(seed=run),
             }
             for name, policy in policies.items():
                 sim = MultiJoinSimulator(
@@ -168,7 +172,7 @@ class TestMultiHeeb:
         assert totals["HEEB"] > totals["RAND"]
 
     def test_requires_models(self):
-        policy = MultiHeebPolicy(LExp(5.0), horizon=10)
+        policy = HeebPolicy(GenericJoinHeeb(LExp(5.0), horizon=10))
         sim = MultiJoinSimulator(2, policy, queries=[("A", "B")])
         with pytest.raises(ValueError, match="models"):
             sim.run({"A": [1, 1], "B": [1, 1]})
@@ -179,10 +183,10 @@ class TestMultiHeeb:
         model = StationaryStream(from_mapping({1: 0.5, 2: 0.5}))
         models = {"A": model, "B": model, "C": model}
         from repro.core.tuples import StreamTuple
-        from repro.sim.multi_join import MultiPolicyContext
 
-        policy = MultiHeebPolicy(LExp(5.0), horizon=40)
-        ctx = MultiPolicyContext(
+        policy = HeebPolicy(GenericJoinHeeb(LExp(5.0), horizon=40))
+        ctx = PolicyContext(
+            kind="multi_join",
             time=0,
             cache_size=2,
             partner_names={"A": ("B",), "B": ("A", "C"), "C": ("B",)},
@@ -191,58 +195,7 @@ class TestMultiHeeb:
         )
         hub = StreamTuple(0, "B", 1, 0)
         leaf = StreamTuple(1, "A", 1, 0)
-        h_hub = policy._h_value(hub, ctx)
-        h_leaf = policy._h_value(leaf, ctx)
+        h_hub = policy.strategy.h_value(hub, ctx)
+        h_leaf = policy.strategy.h_value(leaf, ctx)
         assert h_hub == pytest.approx(2 * h_leaf, rel=1e-9)
 
-
-class TestDeprecatedAliases:
-    """Every pre-unification ``Multi*`` alias warns on construction.
-
-    The aliases stay importable (and behave identically to their
-    unified replacements), but new code should not reach for them —
-    the warning is the migration signpost.  The repo-wide pytest
-    config ignores ``DeprecationWarning``, so existing alias-using
-    tests keep passing unchanged."""
-
-    def test_multi_policy_context_warns(self):
-        from repro.sim.multi_join import MultiPolicyContext
-
-        with pytest.warns(DeprecationWarning, match="MultiPolicyContext"):
-            MultiPolicyContext(
-                time=0,
-                cache_size=2,
-                partner_names={"A": ("B",), "B": ("A",)},
-                histories={"A": [], "B": []},
-            )
-
-    def test_multi_heeb_policy_warns(self):
-        with pytest.warns(DeprecationWarning, match="MultiHeebPolicy"):
-            MultiHeebPolicy(LExp(5.0), horizon=10)
-
-    def test_multi_prob_policy_warns(self):
-        with pytest.warns(DeprecationWarning, match="MultiProbPolicy"):
-            MultiProbPolicy()
-
-    def test_multi_rand_policy_warns(self):
-        with pytest.warns(DeprecationWarning, match="MultiRandPolicy"):
-            MultiRandPolicy(seed=0)
-
-    def test_multi_scheduled_policy_warns(self):
-        from repro.flow.opt_offline import OfflineSolution
-
-        solution = OfflineSolution(
-            eviction_time={}, total_benefit=0, cache_size=1, length=0
-        )
-        with pytest.warns(DeprecationWarning, match="MultiScheduledPolicy"):
-            MultiScheduledPolicy(solution)
-
-    def test_multi_join_policy_warns(self):
-        from repro.sim.multi_join import MultiJoinPolicy
-
-        class _Alias(MultiJoinPolicy):
-            def select_victims(self, candidates, n_evict, ctx):
-                return list(candidates[:n_evict])
-
-        with pytest.warns(DeprecationWarning, match="MultiJoinPolicy"):
-            _Alias()

@@ -338,7 +338,7 @@ class TestBatchGating:
         paths = [model.sample_path(80, np.random.default_rng(0))]
         factory = lambda: make_policy("lfu", counts="sketch")  # noqa: E731
         result = run_cache_experiment(
-            factory, paths, cache_size=3, batch=True
+            factory, paths, cache_size=3, engine="batch"
         )
         assert result.engine_used == "scalar"
 

@@ -111,10 +111,8 @@ def entry_from_report(
     Pulls the headline metrics out of ``aggregate`` (engine throughputs
     and speedups), ``flowexpect`` (per-step latency, fast-path speedup,
     memo hit rate, ``fe_`` prefix), ``batch_coverage`` (per-family
-    adapter speedups, ``batchcov_`` prefix), ``native`` (compiled-kernel
-    speedup and per-step latency, ``native_`` prefix), ``serve``
-    (serving-tier ingestion
-    throughput and queue-depth telemetry, ``serve_`` prefix),
+    adapter speedups, ``batchcov_`` prefix), ``serve`` (serving-tier
+    ingestion throughput and queue-depth telemetry, ``serve_`` prefix),
     ``multi_join`` (multi-join batch speedup and serve throughput,
     ``multi_`` prefix), and ``sketch`` (bounded-memory peak and
     exact-vs-sketch hit-rate delta, ``sketch_`` prefix) so the sections
@@ -150,16 +148,6 @@ def entry_from_report(
         value = (entry or {}).get("batch_speedup")
         if isinstance(value, (int, float)):
             metrics[f"batchcov_{family}_speedup"] = float(value)
-
-    native = report.get("native") or {}
-    for key in (
-        "native_speedup",
-        "native_ms_per_step",
-        "reference_ms_per_step",
-    ):
-        value = native.get(key)
-        if isinstance(value, (int, float)):
-            metrics[f"native_{key}"] = float(value)
 
     serve = report.get("serve") or {}
     for key in (
@@ -208,15 +196,12 @@ def entry_from_report(
     for key in ("length", "lookahead", "cache_size"):
         if key in flowexpect:
             workload[f"fe_{key}"] = flowexpect[key]
-    # Batch-coverage and native bench shapes: per-family speedups are
+    # Batch-coverage bench shape: per-family speedups are
     # only comparable at the same trial counts and stream lengths (the
     # memo-sharing adapters scale with the trial count by design).
     for key in ("length", "trials", "fe_length", "fe_trials"):
         if key in batchcov:
             workload[f"batchcov_{key}"] = batchcov[key]
-    for key in ("length", "lookahead", "trials", "native_available"):
-        if key in native:
-            workload[f"native_{key}"] = native[key]
     # Likewise the serve bench: throughput at 4 shards on a 2000-step
     # stream is not comparable to other shapes.
     for key in ("length", "n_shards", "queue_maxsize"):
