@@ -4,9 +4,20 @@ The batch simulators in :mod:`repro.sim.batch` run ``B`` independent
 Monte-Carlo trials simultaneously over ``(B, slots)`` state arrays.  Each
 adapter here mirrors one scalar policy *exactly*: for the same per-trial
 seeds the batch engine's eviction decisions are identical to the scalar
-:class:`~repro.sim.join_sim.JoinSimulator` /
-:class:`~repro.sim.cache_sim.CacheSimulator` runs, which the equivalence
-suite (``tests/test_batch_equivalence.py``) asserts tuple-for-tuple.
+:class:`~repro.sim.join_sim.JoinSimulator`,
+:class:`~repro.sim.cache_sim.CacheSimulator` and
+:class:`~repro.sim.multi_join.MultiJoinSimulator` runs, which the
+equivalence suites (``tests/test_batch_equivalence.py``,
+``tests/test_multi_batch_equivalence.py``) assert tuple-for-tuple.
+
+There is one adapter per policy for every problem kind.  Like the
+scalar policy layer (Appendix C), adapters see a *topology*: the run's
+stream names, whose index is the ``side`` code of a cached tuple, and
+the partner map naming the streams each side joins against.  The
+simulators :meth:`~BatchPolicy.bind` it before every run: the binary
+join is streams ``R``/``S`` partnered with each other, caching is the
+Theorem 1 reduction (cached database tuples, side ``S``, partnered with
+the reference stream ``R``), and the n-way join is the query graph.
 
 Equivalence is achieved by construction rather than by approximation:
 
@@ -31,12 +42,14 @@ Equivalence is achieved by construction rather than by approximation:
 A few configurations remain scalar-only and raise
 :class:`UnbatchablePolicyError` from :func:`make_batch_policy` (OPT
 offline schedules, sketch-backed counts, admission filters,
-history-anchored models under the trie/FlowExpect adapters); the
-runner then falls back to the scalar loop, so mixing batchable and
-unbatchable policies in one experiment is seamless.  The coverage
-matrix in ``docs/PERFORMANCE.md`` documents exactly which policy ×
-problem-kind pairs dispatch where, and ``tests/test_docs_consistency``
-asserts it against this module's dispatch.
+history-anchored models under the trie/FlowExpect adapters, and the
+per-kind gaps: LRU-k, LIFE, FlowExpect and non-stationary HEEB on
+n-way joins); the runner then falls back to the scalar loop, so mixing
+batchable and unbatchable policies in one experiment is seamless.  The
+coverage matrix in ``docs/PERFORMANCE.md`` documents exactly which
+policy × problem-kind pairs dispatch where, and
+``tests/test_docs_consistency`` asserts it against this module's
+dispatch.
 """
 
 from __future__ import annotations
@@ -99,12 +112,7 @@ __all__ = [
     "BatchTrendOracle",
     "BatchTrie",
     "BatchFlowExpect",
-    "BatchMultiPolicy",
-    "BatchMultiRand",
-    "BatchMultiLru",
-    "BatchMultiProb",
-    "BatchMultiStationaryHeeb",
-    "BatchMultiTrie",
+    "binary_topology",
     "make_batch_policy",
 ]
 
@@ -114,6 +122,21 @@ NONE_VALUE = np.iinfo(np.int64).min
 #: Integer side codes used by the ``(B, slots)`` state arrays.
 R_CODE = 0
 S_CODE = 1
+
+
+def binary_topology(kind: str) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]]]:
+    """Stream names and partner map of a binary problem kind.
+
+    The names order assigns :data:`R_CODE` / :data:`S_CODE`.  Joining
+    partners R and S with each other; caching is the Theorem 1
+    reduction, in which the cached (side-S) database tuples have the
+    reference stream R as their only partner.
+    """
+    if kind == "join":
+        return ("R", "S"), {"R": ("S",), "S": ("R",)}
+    if kind == "cache":
+        return ("R", "S"), {"S": ("R",)}
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 class UnbatchablePolicyError(TypeError):
@@ -159,6 +182,15 @@ class BatchPolicy(abc.ABC):
     #: tolerance-level adapter, :class:`BatchSurfaceHeeb`, opts out).
     exact_scores: bool = True
 
+    def bind(self, names, partner_names) -> None:
+        """Learn the run's topology (called before :meth:`reset`).
+
+        ``names`` lists the streams in arrival order — a stream's index
+        is the ``side`` code of its cached tuples — and
+        ``partner_names`` maps each cacheable stream to the streams its
+        tuples join against (see :func:`binary_topology`).
+        """
+
     def reset(self, n_trials: int, n_slots: int) -> None:
         """Allocate per-run state before a batch run starts."""
 
@@ -166,12 +198,12 @@ class BatchPolicy(abc.ABC):
         """Per-slot arrays the engine must permute on cache compaction."""
         return ()
 
-    def begin_step(self, state, t: int, r_vals, s_vals) -> None:
+    def begin_step(self, state, t: int, vals) -> None:
         """Observe this step's arrivals (all trials), before any probing.
 
-        ``r_vals`` / ``s_vals`` are ``(B,)`` int64 arrays using
-        :data:`NONE_VALUE` for "−"; ``s_vals`` is ``None`` for the
-        caching problem.
+        ``vals[code]`` is that stream's ``(B,)`` int64 column, using
+        :data:`NONE_VALUE` for "−" (the cached S side of the caching
+        problem never arrives, so its column is all "−").
         """
 
     def on_reference(self, state, mask, t: int) -> None:
@@ -391,9 +423,10 @@ class BatchLruK(BatchPolicy):
             return float("-inf")
         return float(history[0]) + 1e-9 * float(history[-1])
 
-    def begin_step(self, state, t: int, r_vals, s_vals) -> None:
+    def begin_step(self, state, t: int, vals) -> None:
         # LRU-k histories track the *reference* stream R only (both join
         # sides share the value-keyed dict), mirroring LrukPolicy._sync.
+        r_vals = vals[R_CODE]
         has = r_vals != NONE_VALUE
         if not bool(has.any()):
             return
@@ -428,74 +461,78 @@ class BatchLruK(BatchPolicy):
 class BatchProb(BatchPolicy):
     """PROB / LFU: observed partner-value frequencies, kept incrementally.
 
-    Cached slots carry their frequency as per-slot state updated by array
-    comparisons against each step's arrivals; only the two dictionary
-    updates per trial per step (the global value counters, needed to
-    initialize newly admitted tuples) remain Python-level, so the scoring
-    path is entirely vectorized.
+    A tuple's frequency sums its value's observed count over every
+    partner stream of its side — the scalar n-way rule; the binary join
+    has one partner per side, and cached tuples count the reference
+    stream R.  Cached slots carry that sum as per-slot state updated by
+    array comparisons against each step's arrivals; only one dictionary
+    update per trial per partner stream (the global value counters,
+    needed to initialize newly admitted tuples) remains Python-level, so
+    the scoring path is entirely vectorized.
     """
 
     name = "PROB"
 
-    def __init__(self, kind: str, oracle: Optional[BatchTrendOracle] = None):
-        if kind not in ("join", "cache"):
-            raise ValueError(f"unknown kind {kind!r}")
-        self._kind = kind
+    def __init__(self, oracle: Optional[BatchTrendOracle] = None):
         self._oracle = oracle
         self._freq = np.zeros((0, 0), dtype=np.int64)
-        self._r_counts: list[dict] = []
-        self._s_counts: list[dict] = []
+        self._adj = np.zeros((0, 0), dtype=bool)
+        self._tracked: list[int] = []
+        self._partners_by_code: dict[int, list[int]] = {}
+        self._counts: dict[int, list[dict]] = {}
+
+    def bind(self, names, partner_names) -> None:
+        idx = {name: i for i, name in enumerate(names)}
+        n = len(names)
+        # adj[cached_code, arriving_code]: does the arrival probe the slot?
+        self._adj = np.zeros((n, n), dtype=bool)
+        for name, partners in partner_names.items():
+            for p in partners:
+                self._adj[idx[name], idx[p]] = True
+        # Only streams some side joins against need value counters.
+        self._tracked = [code for code in range(n) if self._adj[:, code].any()]
+        self._partners_by_code = {
+            idx[name]: [idx[p] for p in partners]
+            for name, partners in partner_names.items()
+        }
 
     def reset(self, n_trials: int, n_slots: int) -> None:
         self._freq = np.zeros((n_trials, n_slots), dtype=np.int64)
-        self._r_counts = [dict() for _ in range(n_trials)]
-        self._s_counts = [dict() for _ in range(n_trials)]
+        self._counts = {
+            code: [dict() for _ in range(n_trials)] for code in self._tracked
+        }
 
     def aux_arrays(self) -> tuple[np.ndarray, ...]:
         return (self._freq,)
 
-    def begin_step(self, state, t: int, r_vals, s_vals) -> None:
-        for counts, v in zip(self._r_counts, r_vals.tolist()):
-            if v != NONE_VALUE:
-                counts[v] = counts.get(v, 0) + 1
-        if s_vals is not None:
-            for counts, w in zip(self._s_counts, s_vals.tolist()):
-                if w != NONE_VALUE:
-                    counts[w] = counts.get(w, 0) + 1
-        # A slot's frequency counts its value in the stream it matches:
-        # R-side tuples match S arrivals and vice versa; in the caching
-        # problem every (database) tuple matches the reference stream R.
-        if self._kind == "cache":
-            hit_r = (
-                state.alive
-                & (r_vals[:, None] != NONE_VALUE)
-                & (state.val == np.where(r_vals == NONE_VALUE, 0, r_vals)[:, None])
-            )
-            self._freq += hit_r
-        else:
-            r_safe = np.where(r_vals == NONE_VALUE, 0, r_vals)
-            s_safe = np.where(s_vals == NONE_VALUE, 0, s_vals)
+    def begin_step(self, state, t: int, vals) -> None:
+        for code in self._tracked:
+            for counts, v in zip(self._counts[code], vals[code].tolist()):
+                if v != NONE_VALUE:
+                    counts[v] = counts.get(v, 0) + 1
+        for code in self._tracked:
+            v = vals[code]
+            has = v != NONE_VALUE
+            if not has.any():
+                continue
+            safe = np.where(has, v, 0)
+            # Dead slots' garbage side codes may index anywhere in the
+            # adjacency column; the alive mask discards those lookups.
+            partnered = self._adj[:, code][state.side]
             self._freq += (
                 state.alive
-                & (state.side == R_CODE)
-                & (s_vals[:, None] != NONE_VALUE)
-                & (state.val == s_safe[:, None])
-            )
-            self._freq += (
-                state.alive
-                & (state.side == S_CODE)
-                & (r_vals[:, None] != NONE_VALUE)
-                & (state.val == r_safe[:, None])
+                & partnered
+                & has[:, None]
+                & (state.val == safe[:, None])
             )
 
     def on_admit(self, state, rows, cols, side_code: int, values, t: int) -> None:
-        if self._kind == "cache" or side_code == S_CODE:
-            source = self._r_counts
-        else:
-            source = self._s_counts
-        self._freq[rows, cols] = [
-            source[b].get(v, 0) for b, v in zip(rows.tolist(), values.tolist())
-        ]
+        trials, vals = rows.tolist(), values.tolist()
+        freq = [0] * len(trials)
+        for p in self._partners_by_code[side_code]:
+            counts = self._counts[p]
+            freq = [f + counts[b].get(v, 0) for f, b, v in zip(freq, trials, vals)]
+        self._freq[rows, cols] = freq
 
     def scores(self, state, t: int) -> np.ndarray:
         sc = self._freq.astype(np.float64)
@@ -504,35 +541,23 @@ class BatchProb(BatchPolicy):
         return sc
 
 
-class BatchLife(BatchPolicy):
+class BatchLife(BatchProb):
     """LIFE: match-probability estimate × oracle remaining lifetime."""
 
     name = "LIFE"
 
-    def __init__(self, kind: str, oracle: Optional[BatchTrendOracle]):
+    def __init__(self, oracle: Optional[BatchTrendOracle]):
         if oracle is None:
             raise _unbatchable(
                 "LIFE",
                 "it requires a window oracle to determine tuple lifetimes",
             )
-        self._prob = BatchProb(kind)
-        self._oracle = oracle
-
-    def reset(self, n_trials: int, n_slots: int) -> None:
-        self._prob.reset(n_trials, n_slots)
-
-    def aux_arrays(self) -> tuple[np.ndarray, ...]:
-        return self._prob.aux_arrays()
-
-    def begin_step(self, state, t: int, r_vals, s_vals) -> None:
-        self._prob.begin_step(state, t, r_vals, s_vals)
-
-    def on_admit(self, state, rows, cols, side_code: int, values, t: int) -> None:
-        self._prob.on_admit(state, rows, cols, side_code, values, t)
+        super().__init__(oracle)
+        self._life = oracle
 
     def scores(self, state, t: int) -> np.ndarray:
-        life = self._oracle.remaining_life(state, t)
-        freq = self._prob._freq.astype(np.float64)
+        life = self._life.remaining_life(state, t)
+        freq = self._freq.astype(np.float64)
         total = float(max(1, t + 1))
         return (freq / total) * life
 
@@ -631,40 +656,47 @@ class BatchWalkCacheHeeb(BatchPolicy):
 class BatchStationaryJoinHeeb(BatchPolicy):
     """Generic joining HEEB specialized to stationary partners.
 
-    For i.i.d. streams ``H`` depends on the candidate's value only, so
-    the scalar ``heeb_join`` is evaluated once per support value into a
-    dense table (identical floats for every query time) and scoring is a
-    pure array lookup.
+    Appendix C sums the binary benefit over every partner stream (the
+    binary join is the one-partner case).  For i.i.d. streams each term
+    depends on the candidate's value only, so one dense table per
+    stream — the scalar ``heeb_join`` summed over its partners in
+    partner order, identical floats for every query time — turns
+    scoring into an array lookup per stream code.
     """
 
     name = "HEEB"
 
-    def __init__(
-        self,
-        strategy: GenericJoinHeeb,
-        r_model: StationaryStream,
-        s_model: StationaryStream,
-    ):
-        self._lo_for_r, self._tab_for_r = self._build(strategy, s_model)
-        self._lo_for_s, self._tab_for_s = self._build(strategy, r_model)
+    def __init__(self, strategy: GenericJoinHeeb, models, partner_names):
+        self._tables: dict[str, tuple[int, np.ndarray]] = {}
+        for name, partners in partner_names.items():
+            lo = min(models[p].dist.min_value for p in partners)
+            hi = max(models[p].dist.max_value for p in partners)
+            values = []
+            for v in range(lo, hi + 1):
+                total = 0.0
+                for p in partners:
+                    total += heeb_join(
+                        models[p], 0, v, strategy.estimator, strategy.horizon
+                    )
+                values.append(total)
+            self._tables[name] = (lo, np.array(values))
+        self._by_code: list[Optional[tuple[int, np.ndarray]]] = []
 
-    @staticmethod
-    def _build(
-        strategy: GenericJoinHeeb, partner: StationaryStream
-    ) -> tuple[int, np.ndarray]:
-        lo, hi = partner.dist.min_value, partner.dist.max_value
-        values = np.array(
-            [
-                heeb_join(partner, 0, v, strategy.estimator, strategy.horizon)
-                for v in range(lo, hi + 1)
-            ]
-        )
-        return lo, values
+    def bind(self, names, partner_names) -> None:
+        # Streams outside every query are never cached, hence never scored.
+        self._by_code = [self._tables.get(name) for name in names]
 
     def scores(self, state, t: int) -> np.ndarray:
-        sc_r = _dense_lookup(self._tab_for_r, self._lo_for_r, state.val)
-        sc_s = _dense_lookup(self._tab_for_s, self._lo_for_s, state.val)
-        return np.where(state.side == R_CODE, sc_r, sc_s)
+        out = np.zeros(state.val.shape)
+        for code, entry in enumerate(self._by_code):
+            if entry is None:
+                continue
+            mask = state.side == code
+            if not mask.any():
+                continue
+            lo, tab = entry
+            out = np.where(mask, _dense_lookup(tab, lo, state.val), out)
+        return out
 
 
 class _MemoGatherHeeb(BatchPolicy):
@@ -898,18 +930,21 @@ class BatchSurfaceHeeb(BatchPolicy):
 # ----------------------------------------------------------------------
 # Trie caching
 # ----------------------------------------------------------------------
-class _TrieReplayCore:
-    """Shared replay machinery behind :class:`BatchTrie` / :class:`BatchMultiTrie`.
+class BatchTrie(BatchPolicy):
+    """Trie caching on any topology, replayed trial by trial.
 
     :class:`~repro.policies.trie.TrieCachePolicy` is stateful in two
     coupled ways — shared per-``(stream, value)`` node scores and the EMA
     budget shares its two-phase selection consults — so the batch replay
     splits the work accordingly:
 
-    * node scores go through one *shared* memo (``score_of`` is the
-      identical scalar benefit function, called once per distinct node),
-      persistent across steps when every consulted model is stationary
-      and cleared per step otherwise;
+    * node scores go through one *shared* memo: each distinct ``(side,
+      value)`` node calls the identical scalar benefit function exactly
+      once per memo epoch — :func:`~repro.core.heeb.heeb_cache` for the
+      caching problem, :func:`~repro.core.heeb.heeb_join` summed over
+      the side's partners otherwise — and the memo persists across
+      steps when every consulted model is stationary, clearing per step
+      otherwise;
     * the selection phases (score-sort, per-level quotas via
       largest-remainder rounding, global fill) are replayed per trial in
       plain Python over that trial's shares row — the same float
@@ -919,26 +954,30 @@ class _TrieReplayCore:
       totals/norms accumulate columns left to right, matching Python's
       ``sum`` over the scalar policy's dicts.
 
-    Cutoff and per-level budget series are accumulated per trial and
-    handed to the engine through ``series_logs`` so recorded runs see
-    the scalar emission order.
+    Like the scalar policy, the levels are the topology's query streams,
+    except for caching, which keeps the single ``"R"`` level.  Requires
+    every consulted model to be present and independent.  The window,
+    when set, never enters the scalar policy's scoring — expiry is
+    simulator-level — so windowed runs batch unchanged.  Cutoff and
+    per-level budget series are accumulated per trial and handed to the
+    engine through ``series_logs`` so recorded runs see the scalar
+    emission order.
     """
 
-    def __init__(
-        self,
-        levels: tuple[str, ...],
-        level_of_code: dict[int, str],
-        score_of,
-        beta: float,
-        min_share: float,
-        persistent: bool,
-    ):
-        self._levels = levels
-        self._level_of_code = level_of_code
-        self._score_of = score_of
-        self._beta = beta
-        self._min_share = min_share
-        self._persistent = persistent
+    name = "TRIE"
+    scored = False
+
+    def __init__(self, policy: TrieCachePolicy, kind: str, models):
+        self._estimator = policy.estimator
+        self._horizon = policy.horizon
+        self._beta = policy.beta
+        self._min_share = policy.min_share
+        self._cache = kind == "cache"
+        self._models = models
+        self._levels: tuple[str, ...] = ()
+        self._level_of_code: dict[int, str] = {}
+        self._partners_of: list[tuple[str, ...]] = []
+        self._persistent = False
         self._memo: dict[tuple[int, int], float] = {}
         self._memo_t: Optional[int] = None
         self._pressure = np.zeros((0, 0))
@@ -946,7 +985,30 @@ class _TrieReplayCore:
         self._cutoff_log: list[list[tuple[int, float]]] = []
         self._budget_logs: dict[str, list[list[tuple[int, float]]]] = {}
 
-    def reset(self, n_trials: int) -> None:
+    def bind(self, names, partner_names) -> None:
+        self._levels = ("R",) if self._cache else tuple(partner_names)
+        self._level_of_code = dict(enumerate(names))
+        self._partners_of = [tuple(partner_names.get(name, ())) for name in names]
+        consulted = {p for partners in partner_names.values() for p in partners}
+        self._persistent = all(
+            isinstance(self._models[p], StationaryStream) for p in consulted
+        )
+
+    def _node_score(self, code: int, value: int, t: int) -> float:
+        """The scalar node benefit of a ``(side, value)`` trie node."""
+        if self._cache:
+            return heeb_cache(
+                self._models["R"], t, value, self._estimator, self._horizon
+            )
+        # _join_benefit's partner sum (0.0 + H == H for one partner).
+        total = 0.0
+        for p in self._partners_of[code]:
+            total += heeb_join(
+                self._models[p], t, value, self._estimator, self._horizon
+            )
+        return total
+
+    def reset(self, n_trials: int, n_slots: int) -> None:
         n_levels = len(self._levels)
         self._pressure = np.zeros((n_trials, n_levels))
         self._shares = np.full((n_trials, n_levels), 1.0 / n_levels)
@@ -994,7 +1056,7 @@ class _TrieReplayCore:
                 key = (sides[i], vals[i])
                 score = memo.get(key)
                 if score is None:
-                    score = self._score_of(sides[i], vals[i], t)
+                    score = self._node_score(sides[i], vals[i], t)
                     memo[key] = score
                 entries.append((score, uids[i], i))
             entries.sort()
@@ -1131,68 +1193,6 @@ class _TrieReplayCore:
                 )
 
 
-class BatchTrie(BatchPolicy):
-    """Trie caching on the binary problems, replayed trial by trial.
-
-    Requires every model the scalar policy would consult (the reference
-    model for ``kind="cache"``, both stream models for ``kind="join"``)
-    to be present and independent, so node scores are shared across
-    trials: each distinct ``(side, value)`` node calls the identical
-    scalar benefit function (:func:`~repro.core.heeb.heeb_cache` /
-    :func:`~repro.core.heeb.heeb_join`) exactly once per memo epoch.
-    The window, when set, never enters the scalar policy's scoring —
-    expiry is simulator-level — so windowed runs batch unchanged.
-    """
-
-    name = "TRIE"
-    scored = False
-
-    def __init__(
-        self,
-        policy: TrieCachePolicy,
-        kind: str,
-        r_model: StreamModel,
-        s_model: Optional[StreamModel],
-    ):
-        estimator = policy.estimator
-        horizon = policy.horizon
-        if kind == "cache":
-            levels: tuple[str, ...] = ("R",)
-            consulted: tuple[StreamModel, ...] = (r_model,)
-
-            def score_of(code: int, value: int, t: int) -> float:
-                return heeb_cache(r_model, t, value, estimator, horizon)
-
-        else:
-            assert s_model is not None
-            levels = ("R", "S")
-            consulted = (r_model, s_model)
-            partner_model = {R_CODE: s_model, S_CODE: r_model}
-
-            def score_of(code: int, value: int, t: int) -> float:
-                # _join_benefit's single-partner sum: 0.0 + H == H.
-                return heeb_join(partner_model[code], t, value, estimator, horizon)
-
-        persistent = all(isinstance(m, StationaryStream) for m in consulted)
-        self._core = _TrieReplayCore(
-            levels,
-            {R_CODE: "R", S_CODE: "S"},
-            score_of,
-            policy.beta,
-            policy.min_share,
-            persistent,
-        )
-
-    def reset(self, n_trials: int, n_slots: int) -> None:
-        self._core.reset(n_trials)
-
-    def select(self, state, n_evict, t: int) -> np.ndarray:
-        return self._core.select(state, n_evict, t)
-
-    def series_logs(self) -> dict[str, list[list[tuple[int, float]]]]:
-        return self._core.series_logs()
-
-
 # ----------------------------------------------------------------------
 # FlowExpect
 # ----------------------------------------------------------------------
@@ -1311,267 +1311,28 @@ class BatchFlowExpect(BatchPolicy):
 
 
 # ----------------------------------------------------------------------
-# Multi-join adapters
-# ----------------------------------------------------------------------
-class BatchMultiPolicy(BatchPolicy):
-    """One replacement policy vectorized over an n-way join topology.
-
-    Multi-join state arrays use *stream codes* — the index of the stream
-    name in the run's arrival order — as ``side`` values, so the adapter
-    must learn the code assignment before the run starts: the simulator
-    calls :meth:`bind` with the stream names and the partner map, then
-    :meth:`reset` as usual.  ``begin_step`` receives one ``(B,)`` value
-    column per stream, indexed by code, instead of the binary R/S pair.
-    """
-
-    def bind(self, names, partner_names) -> None:
-        """Learn the name → code assignment of this run (before reset)."""
-
-    def begin_step(self, state, t: int, vals) -> None:  # type: ignore[override]
-        """Observe this step's arrivals: ``vals[code]`` is ``(B,)`` int64."""
-
-
-class BatchMultiRand(BatchMultiPolicy):
-    """RAND on an n-way topology: per-trial generators, scalar call trace.
-
-    The scalar policy draws ``rng.choice`` over the candidates in
-    cache-insertion order; the row-prefix layout preserves that order, so
-    delegating to :class:`BatchRand`'s oracle-free select replays the
-    exact draws.
-    """
-
-    name = "RAND"
-    scored = False
-
-    def __init__(self, seed: int):
-        self._inner = BatchRand(seed)
-
-    def reset(self, n_trials: int, n_slots: int) -> None:
-        self._inner.reset(n_trials, n_slots)
-
-    def select(self, state, n_evict, t: int) -> np.ndarray:
-        return self._inner.select(state, n_evict, t)
-
-
-class BatchMultiLru(BatchMultiPolicy):
-    """LRU on an n-way topology: the binary stamp logic, name-agnostic."""
-
-    name = "LRU"
-
-    def __init__(self) -> None:
-        self._inner = BatchLru()
-
-    def reset(self, n_trials: int, n_slots: int) -> None:
-        self._inner.reset(n_trials, n_slots)
-
-    def aux_arrays(self) -> tuple[np.ndarray, ...]:
-        return self._inner.aux_arrays()
-
-    def on_reference(self, state, mask, t: int) -> None:
-        self._inner.on_reference(state, mask, t)
-
-    def on_admit(self, state, rows, cols, side_code: int, values, t: int) -> None:
-        self._inner.on_admit(state, rows, cols, side_code, values, t)
-
-    def scores(self, state, t: int) -> np.ndarray:
-        return self._inner.scores(state, t)
-
-
-class BatchMultiProb(BatchMultiPolicy):
-    """PROB / LFU over many streams: per-partner frequency summation.
-
-    A tuple's frequency sums its value's observed count over *every*
-    partner stream (the scalar policy's n-way rule).  Cached slots carry
-    that sum as per-slot state updated by array comparisons against each
-    step's arrivals; one dictionary update per trial per arriving stream
-    (the global value counters, needed to initialize newly admitted
-    tuples) remains Python-level, exactly like the binary adapter.
-    """
-
-    name = "PROB"
-
-    def __init__(self) -> None:
-        self._freq = np.zeros((0, 0), dtype=np.int64)
-        self._adj = np.zeros((0, 0), dtype=bool)
-        self._tracked: list[int] = []
-        self._partners_by_code: dict[int, list[int]] = {}
-        self._counts: dict[int, list[dict]] = {}
-
-    def bind(self, names, partner_names) -> None:
-        idx = {name: i for i, name in enumerate(names)}
-        n = len(names)
-        # adj[cached_code, arriving_code]: does the arrival probe the slot?
-        self._adj = np.zeros((n, n), dtype=bool)
-        for name, partners in partner_names.items():
-            for p in partners:
-                self._adj[idx[name], idx[p]] = True
-        self._tracked = [idx[name] for name in names if name in partner_names]
-        self._partners_by_code = {
-            idx[name]: [idx[p] for p in partners]
-            for name, partners in partner_names.items()
-        }
-
-    def reset(self, n_trials: int, n_slots: int) -> None:
-        self._freq = np.zeros((n_trials, n_slots), dtype=np.int64)
-        self._counts = {
-            code: [dict() for _ in range(n_trials)] for code in self._tracked
-        }
-
-    def aux_arrays(self) -> tuple[np.ndarray, ...]:
-        return (self._freq,)
-
-    def begin_step(self, state, t: int, vals) -> None:
-        for code in self._tracked:
-            counts = self._counts[code]
-            for b, v in enumerate(vals[code].tolist()):
-                if v != NONE_VALUE:
-                    counts[b][v] = counts[b].get(v, 0) + 1
-        for code in self._tracked:
-            v = vals[code]
-            has = v != NONE_VALUE
-            if not has.any():
-                continue
-            safe = np.where(has, v, 0)
-            # Dead slots' garbage side codes may index anywhere in the
-            # adjacency column; the alive mask discards those lookups.
-            partnered = self._adj[:, code][state.side]
-            self._freq += (
-                state.alive
-                & partnered
-                & has[:, None]
-                & (state.val == safe[:, None])
-            )
-
-    def on_admit(self, state, rows, cols, side_code: int, values, t: int) -> None:
-        partners = self._partners_by_code[side_code]
-        counts = self._counts
-        self._freq[rows, cols] = [
-            sum(counts[p][b].get(v, 0) for p in partners)
-            for b, v in zip(rows.tolist(), values.tolist())
-        ]
-
-    def scores(self, state, t: int) -> np.ndarray:
-        return self._freq.astype(np.float64)
-
-
-class BatchMultiStationaryHeeb(BatchMultiPolicy):
-    """Generic joining HEEB on n-way topologies of stationary streams.
-
-    Appendix C sums the binary benefit over every partner stream; for
-    i.i.d. partners each term depends on the candidate's value only, so
-    one dense per-stream table (the scalar ``heeb_join`` summed over the
-    partners in partner order — identical floats for every query time)
-    turns scoring into an array lookup per stream code.
-    """
-
-    name = "HEEB"
-
-    def __init__(self, strategy: GenericJoinHeeb, models, partner_names):
-        self._tables: dict[str, tuple[int, np.ndarray]] = {}
-        for name, partners in partner_names.items():
-            lo = min(models[p].dist.min_value for p in partners)
-            hi = max(models[p].dist.max_value for p in partners)
-            values = []
-            for v in range(lo, hi + 1):
-                total = 0.0
-                for p in partners:
-                    total += heeb_join(
-                        models[p], 0, v, strategy.estimator, strategy.horizon
-                    )
-                values.append(total)
-            self._tables[name] = (lo, np.array(values))
-        self._by_code: list[Optional[tuple[int, np.ndarray]]] = []
-
-    def bind(self, names, partner_names) -> None:
-        # Streams outside every query are never cached, hence never scored.
-        self._by_code = [self._tables.get(name) for name in names]
-
-    def scores(self, state, t: int) -> np.ndarray:
-        out = np.zeros(state.val.shape)
-        for code, entry in enumerate(self._by_code):
-            if entry is None:
-                continue
-            mask = state.side == code
-            if not mask.any():
-                continue
-            lo, tab = entry
-            out = np.where(mask, _dense_lookup(tab, lo, state.val), out)
-        return out
-
-
-class BatchMultiTrie(BatchMultiPolicy):
-    """Trie caching on n-way topologies: the binary replay, per-stream levels.
-
-    The scalar policy derives its trie levels from the run's partner map
-    (one level per query stream), so the adapter builds its
-    :class:`_TrieReplayCore` in :meth:`bind` — the simulator binds before
-    resetting.  Node benefits sum :func:`~repro.core.heeb.heeb_join`
-    over the cached stream's partners in partner order, shared across
-    trials through the core's memo; requires every partner model to be
-    present and independent.
-    """
-
-    name = "TRIE"
-    scored = False
-
-    def __init__(self, policy: TrieCachePolicy, models):
-        self._policy = policy
-        self._models = models
-        self._core: Optional[_TrieReplayCore] = None
-
-    def bind(self, names, partner_names) -> None:
-        models = self._models
-        policy = self._policy
-        estimator = policy.estimator
-        horizon = policy.horizon
-        names = list(names)
-        partner_lists = {
-            name: tuple(partners) for name, partners in partner_names.items()
-        }
-
-        def score_of(code: int, value: int, t: int) -> float:
-            total = 0.0
-            for p in partner_lists[names[code]]:
-                total += heeb_join(models[p], t, value, estimator, horizon)
-            return total
-
-        consulted = {p for partners in partner_lists.values() for p in partners}
-        persistent = all(
-            isinstance(models[p], StationaryStream) for p in consulted
-        )
-        self._core = _TrieReplayCore(
-            tuple(partner_names),
-            {code: name for code, name in enumerate(names)},
-            score_of,
-            policy.beta,
-            policy.min_share,
-            persistent,
-        )
-
-    def reset(self, n_trials: int, n_slots: int) -> None:
-        assert self._core is not None, "bind() must precede reset()"
-        self._core.reset(n_trials)
-
-    def select(self, state, n_evict, t: int) -> np.ndarray:
-        assert self._core is not None
-        return self._core.select(state, n_evict, t)
-
-    def series_logs(self) -> dict[str, list[list[tuple[int, float]]]]:
-        assert self._core is not None
-        return self._core.series_logs()
-
-
-# ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
 def _batch_heeb(
     policy: HeebPolicy,
     kind: str,
-    r_model: Optional[StreamModel],
-    s_model: Optional[StreamModel],
+    models,
+    partner_names,
     window: Optional[int],
 ) -> BatchPolicy:
     strategy = policy.strategy
+    if kind == "multi_join":
+        if isinstance(strategy, GenericJoinHeeb) and all(
+            isinstance(models.get(name), StationaryStream)
+            for name in partner_names
+        ):
+            return BatchStationaryJoinHeeb(strategy, models, partner_names)
+        raise _unbatchable(
+            policy.name,
+            f"HEEB strategy {type(strategy).__name__} has no n-way replay "
+            f"unless every query-stream model is stationary",
+        )
+    r_model, s_model = models["R"], models["S"]
     if isinstance(strategy, TrendJoinHeeb):
         if (
             kind == "join"
@@ -1627,7 +1388,7 @@ def _batch_heeb(
                 return BatchWindowedStationaryJoinHeeb(
                     strategy, r_model, s_model, window
                 )
-            return BatchStationaryJoinHeeb(strategy, r_model, s_model)
+            return BatchStationaryJoinHeeb(strategy, models, partner_names)
     raise _unbatchable(
         policy.name,
         f"HEEB strategy {type(strategy).__name__} has no exact replay "
@@ -1636,25 +1397,22 @@ def _batch_heeb(
 
 
 def _batch_trie(
-    policy: TrieCachePolicy,
-    kind: str,
-    r_model: Optional[StreamModel],
-    s_model: Optional[StreamModel],
+    policy: TrieCachePolicy, kind: str, models, partner_names
 ) -> BatchPolicy:
     """Exact trie dispatch: require every consulted model, independent."""
-    consulted = (r_model,) if kind == "cache" else (r_model, s_model)
-    if any(m is None for m in consulted):
+    consulted = {p for partners in partner_names.values() for p in partners}
+    if any(models.get(p) is None for p in consulted):
         raise _unbatchable(
             policy.name,
             "its frequency fallback folds per-trial stream histories",
         )
-    if any(not m.is_independent for m in consulted):  # type: ignore[union-attr]
+    if any(not models[p].is_independent for p in consulted):
         raise _unbatchable(
             policy.name,
             "history-anchored models condition node benefits on "
             "per-trial observations",
         )
-    return BatchTrie(policy, kind, r_model, s_model)  # type: ignore[arg-type]
+    return BatchTrie(policy, kind, models)
 
 
 def _batch_flowexpect(
@@ -1715,68 +1473,6 @@ def _check_sketch_free(policy: ReplacementPolicy) -> None:
         )
 
 
-def _batch_multi(policy: ReplacementPolicy, models, queries) -> BatchMultiPolicy:
-    """Exact multi-join adapter dispatch (see :func:`make_batch_policy`)."""
-    from ..sim.step import multi_partner_names
-
-    if not queries:
-        raise ValueError("multi_join batch adapters need at least one query")
-    partner_names = multi_partner_names(queries)
-    if isinstance(policy, RandPolicy):
-        return BatchMultiRand(policy.seed)
-    if isinstance(policy, LrukPolicy):
-        raise _unbatchable(
-            policy.name,
-            "LRU-k per-value reference histories have no n-way "
-            "vectorized replay",
-        )
-    if isinstance(policy, LruPolicy):
-        return BatchMultiLru()
-    if isinstance(policy, ProbPolicy):
-        # LFU subclasses PROB (identical mechanics, different label).
-        adapter = BatchMultiProb()
-        adapter.name = policy.name
-        return adapter
-    if isinstance(policy, TrieCachePolicy):
-        consulted: list[str] = []
-        for partners in partner_names.values():
-            for p in partners:
-                if p not in consulted:
-                    consulted.append(p)
-        if models is None or any(models.get(p) is None for p in consulted):
-            raise _unbatchable(
-                policy.name,
-                "its frequency fallback folds per-trial stream histories",
-            )
-        if any(not models[p].is_independent for p in consulted):
-            raise _unbatchable(
-                policy.name,
-                "history-anchored models condition node benefits on "
-                "per-trial observations",
-            )
-        return BatchMultiTrie(policy, models)
-    if isinstance(policy, HeebPolicy):
-        strategy = policy.strategy
-        if (
-            isinstance(strategy, GenericJoinHeeb)
-            and models is not None
-            and all(
-                isinstance(models.get(name), StationaryStream)
-                for name in partner_names
-            )
-        ):
-            return BatchMultiStationaryHeeb(strategy, models, partner_names)
-        raise _unbatchable(
-            policy.name,
-            f"HEEB strategy {type(strategy).__name__} has no n-way replay "
-            f"unless every query-stream model is stationary",
-        )
-    raise _unbatchable(
-        policy.name,
-        f"no multi-join adapter for policy type {type(policy).__name__}",
-    )
-
-
 def make_batch_policy(
     policy: ReplacementPolicy,
     kind: str = "join",
@@ -1790,11 +1486,12 @@ def make_batch_policy(
 ) -> BatchPolicy:
     """Build the exact batch adapter for a scalar policy instance.
 
-    For ``kind="multi_join"`` the topology is described by ``queries``
+    The binary kinds take their models from ``r_model`` / ``s_model``
+    and their topology from :func:`binary_topology`; for
+    ``kind="multi_join"`` the topology is described by ``queries``
     (binary stream-name pairs) and ``models`` (per-stream models for the
-    model-aware policies); the returned adapter is a
-    :class:`BatchMultiPolicy` that the simulator still has to
-    :meth:`~BatchMultiPolicy.bind` to the run's stream order.
+    model-aware policies).  Either way the simulator binds the returned
+    adapter to the run's stream order before resetting it.
     ``cache_size`` is only consulted by the FlowExpect adapter, whose
     flow amount is fixed at build time.
 
@@ -1804,30 +1501,44 @@ def make_batch_policy(
     (<reason>); it runs on the scalar tier`` shape.
     """
     _check_sketch_free(policy)
-    if kind == "multi_join":
-        return _batch_multi(policy, models, queries)
-    if kind not in ("join", "cache"):
-        raise ValueError(f"unknown kind {kind!r}")
+    multi = kind == "multi_join"
+    if multi:
+        from ..sim.step import multi_partner_names
+
+        if not queries:
+            raise ValueError("multi_join batch adapters need at least one query")
+        partner_names = multi_partner_names(queries)
+        models = dict(models or {})
+    else:
+        partner_names = binary_topology(kind)[1]
+        models = {"R": r_model, "S": s_model}
     if isinstance(policy, RandPolicy):
         return BatchRand(policy.seed, _batch_oracle(window_oracle, policy.name))
     if isinstance(policy, LrukPolicy):
+        if multi:
+            raise _unbatchable(
+                policy.name,
+                "LRU-k per-value reference histories have no n-way "
+                "vectorized replay",
+            )
         return BatchLruK(policy.k)
     if isinstance(policy, LruPolicy):
         return BatchLru()
-    if isinstance(policy, LifePolicy):
-        return BatchLife(kind, _batch_oracle(window_oracle, policy.name))
+    if isinstance(policy, LifePolicy) and not multi:
+        return BatchLife(_batch_oracle(window_oracle, policy.name))
     if isinstance(policy, ProbPolicy):
         # LFU subclasses PROB (identical mechanics, different label).
-        adapter = BatchProb(kind, _batch_oracle(window_oracle, policy.name))
+        adapter = BatchProb(_batch_oracle(window_oracle, policy.name))
         adapter.name = policy.name
         return adapter
     if isinstance(policy, TrieCachePolicy):
-        return _batch_trie(policy, kind, r_model, s_model)
-    if isinstance(policy, FlowExpectPolicy):
+        return _batch_trie(policy, kind, models, partner_names)
+    if isinstance(policy, FlowExpectPolicy) and not multi:
         return _batch_flowexpect(policy, kind, r_model, s_model, cache_size)
     if isinstance(policy, HeebPolicy):
-        return _batch_heeb(policy, kind, r_model, s_model, window)
+        return _batch_heeb(policy, kind, models, partner_names, window)
     raise _unbatchable(
         policy.name,
-        f"no adapter for policy type {type(policy).__name__}",
+        f"no {'multi-join ' if multi else ''}adapter for policy type "
+        f"{type(policy).__name__}",
     )

@@ -16,6 +16,15 @@ suite (``tests/test_batch_equivalence.py``) pins every supported policy
 to it — and the batch path is a drop-in accelerator selected with
 ``engine="batch"`` on the runner entry points.
 
+The three simulators share one set of policy adapters
+(:mod:`repro.policies.batch`): each binds its adapter to its topology
+before a run — the join to streams R/S partnered with each other, the
+cache to the Theorem 1 reduction (cached side S, partner R), the
+n-way join to its query graph — and hands ``begin_step`` one value
+column per stream.  Trials advance in lock-step, so every trial of a
+run must have the same length; ragged trials belong on the scalar or
+parallel tier.
+
 Layout invariants the engine maintains:
 
 * alive tuples occupy a prefix of each row, in *candidate order* — the
@@ -42,8 +51,8 @@ from ..policies.batch import (
     NONE_VALUE,
     R_CODE,
     S_CODE,
-    BatchMultiPolicy,
     BatchPolicy,
+    binary_topology,
 )
 from ..streams.base import StreamModel, Value
 from .cache_sim import CacheRunResult
@@ -225,30 +234,58 @@ class BatchMultiJoinRunResult:
 # ----------------------------------------------------------------------
 # Input conversion
 # ----------------------------------------------------------------------
+def _lockstep_length(lengths: Sequence[int]) -> int:
+    """The one trial length lock-step execution needs.
+
+    The batch engine advances every trial through the same steps, so
+    trials of different lengths cannot share a run; truncating them to
+    the shortest would silently drop the longer trials' tails.
+    """
+    n = lengths[0]
+    if any(m != n for m in lengths):
+        raise ValueError(
+            f"batch trials must all run the same number of steps, got "
+            f"per-trial lengths {list(lengths)}; run ragged trials on the "
+            "scalar or parallel tier"
+        )
+    return n
+
+
+def _stack(seqs: Sequence[Sequence[Value]], n: int) -> np.ndarray:
+    """The first ``n`` values of each sequence as a ``(B, n)`` array."""
+    out = np.empty((len(seqs), n), dtype=np.int64)
+    for b, seq in enumerate(seqs):
+        out[b] = [NONE_VALUE if v is None else int(v) for v in seq[:n]]
+    return out
+
+
 def values_to_array(paths: Sequence[Sequence[Value]]) -> np.ndarray:
     """Stack value sequences into a ``(B, n)`` int64 array.
 
-    ``None`` ("−") becomes :data:`NONE_VALUE`; rows are truncated to the
-    shortest sequence, matching the scalar simulator's
-    ``min(len(r), len(s))`` convention.
+    ``None`` ("−") becomes :data:`NONE_VALUE`.  Every sequence must have
+    the same length (``ValueError`` naming the lengths otherwise), as
+    the scalar caching simulator runs each trial over its whole
+    sequence.
     """
     if not paths:
         return np.zeros((0, 0), dtype=np.int64)
-    n = min(len(p) for p in paths)
-    out = np.empty((len(paths), n), dtype=np.int64)
-    for b, path in enumerate(paths):
-        out[b] = [NONE_VALUE if v is None else int(v) for v in path[:n]]
-    return out
+    return _stack(paths, _lockstep_length([len(p) for p in paths]))
 
 
 def paths_to_arrays(
     paths: Sequence[tuple[Sequence[Value], Sequence[Value]]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``(r, s)`` path pairs into two ``(B, n)`` arrays."""
-    r = values_to_array([p[0] for p in paths])
-    s = values_to_array([p[1] for p in paths])
-    n = min(r.shape[1], s.shape[1]) if paths else 0
-    return r[:, :n], s[:, :n]
+    """Split ``(r, s)`` path pairs into two ``(B, n)`` arrays.
+
+    Each trial runs for ``min(len(r), len(s))`` steps, the scalar
+    simulator's convention, so a trial's longer side is truncated; the
+    per-trial lengths must agree (``ValueError`` otherwise).
+    """
+    if not paths:
+        empty = np.zeros((0, 0), dtype=np.int64)
+        return empty, empty
+    n = _lockstep_length([min(len(r), len(s)) for r, s in paths])
+    return _stack([p[0] for p in paths], n), _stack([p[1] for p in paths], n)
 
 
 def streams_to_arrays(
@@ -259,8 +296,9 @@ def streams_to_arrays(
     Every trial must list the same streams in the same order — the
     arrival (and hence uid-minting) order the scalar simulator derives
     from each mapping, which lock-step execution needs to be shared.
-    Sequences are truncated to the shortest one across all trials and
-    streams, matching :func:`values_to_array`'s convention.
+    Each trial runs for its shortest stream's length, the scalar
+    simulator's convention; the per-trial lengths must agree
+    (``ValueError`` otherwise).
     """
     if not data:
         return {}
@@ -271,17 +309,10 @@ def streams_to_arrays(
                 "all multi-join trials must list the same streams "
                 "in the same order"
             )
-    n = min(len(seq) for item in data for seq in item.values())
-    out = {}
-    for name in names:
-        arr = np.empty((len(data), n), dtype=np.int64)
-        for b, item in enumerate(data):
-            arr[b] = [
-                NONE_VALUE if v is None else int(v)
-                for v in item[name][:n]
-            ]
-        out[name] = arr
-    return out
+    n = _lockstep_length(
+        [min(len(seq) for seq in item.values()) for item in data]
+    )
+    return {name: _stack([item[name] for item in data], n) for name in names}
 
 
 def generate_paths_arrays(
@@ -444,6 +475,7 @@ class BatchJoinSimulator:
         k = self._cache_size
         # ≤ k survivors from the previous step plus one arrival per side.
         state = BatchState.empty(n_trials, k + 2)
+        self._policy.bind(*binary_topology("join"))
         self._policy.reset(n_trials, k + 2)
         aux = self._policy.aux_arrays()
 
@@ -469,7 +501,7 @@ class BatchJoinSimulator:
             has_s = s_vals != NONE_VALUE
             state.last_r[has_r] = r_vals[has_r]
             state.last_s[has_s] = s_vals[has_s]
-            self._policy.begin_step(state, t, r_vals, s_vals)
+            self._policy.begin_step(state, t, (r_vals, s_vals))
 
             # Sliding-window expiry: free removal of dead tuples.
             if self._window is not None:
@@ -644,6 +676,7 @@ class BatchCacheSimulator:
         n_trials, n = references.shape
         k = self._cache_size
         state = BatchState.empty(n_trials, k + 1)
+        self._policy.bind(*binary_topology("cache"))
         self._policy.reset(n_trials, k + 1)
         aux = self._policy.aux_arrays()
 
@@ -664,12 +697,14 @@ class BatchCacheSimulator:
         else:
             hit_log = occ_log = None
         cutoff_log = _cutoff_log_for(self._policy, rec_on, n_trials)
+        # The cached S side never arrives as a stream.
+        no_s = np.full(n_trials, NONE_VALUE, dtype=np.int64)
 
         for t in range(n):
             vals = references[:, t]
             has = vals != NONE_VALUE
             state.last_r[has] = vals[has]
-            self._policy.begin_step(state, t, vals, None)
+            self._policy.begin_step(state, t, (vals, no_s))
             if not has.any():
                 if occ_log is not None:
                     occ_log[:, t] = counts
@@ -782,7 +817,7 @@ class BatchCacheSimulator:
 class BatchMultiJoinSimulator:
     """Vectorized counterpart of :class:`~repro.sim.multi_join.MultiJoinSimulator`.
 
-    Takes a :class:`~repro.policies.batch.BatchMultiPolicy` (built by
+    Takes a :class:`~repro.policies.batch.BatchPolicy` (built by
     :func:`~repro.policies.batch.make_batch_policy` with
     ``kind="multi_join"``) and per-stream ``(B, n)`` value arrays; every
     step performs the scalar step function's phases — per-partner
@@ -802,7 +837,7 @@ class BatchMultiJoinSimulator:
     def __init__(
         self,
         cache_size: int,
-        policy: BatchMultiPolicy,
+        policy: BatchPolicy,
         queries: Sequence[tuple[str, str]],
         warmup: int = 0,
         recorder: Recorder = NULL_RECORDER,

@@ -17,6 +17,7 @@ import pytest
 from repro.core.lifetime import LExp
 from repro.core.precompute import random_walk_h1_cache
 from repro.experiments.configs import (
+    make_multi_config,
     roof_config,
     tower_config,
     walk_config,
@@ -27,6 +28,7 @@ from repro.policies.life import LifePolicy
 from repro.policies.lru import LruPolicy
 from repro.policies.prob import ProbPolicy
 from repro.policies.rand import RandPolicy
+from repro.sim.engine import BatchEngine, ExperimentSpec, ScalarEngine
 from repro.sim.runner import (
     generate_paths,
     generate_reference_paths,
@@ -154,6 +156,68 @@ class TestCacheEquivalence:
         batch = run_cache_experiment(factory, refs, engine="batch", **kwargs)
         _assert_cache_equal(scalar, batch)
         assert any(r.hits > 0 for r in scalar.per_run)
+
+
+class TestRaggedTrials:
+    """Lock-step batch runs need one trial length.  Trials of different
+    lengths are refused — cutting every trial to the shortest changed
+    the longer trials' results — while a trial's own R/S length mismatch
+    still truncates to that trial's minimum, as the scalar tier does."""
+
+    LENGTHS = (200, 100)
+
+    def _ragged(self, kind):
+        if kind == "join":
+            config = tower_config()
+            spec = ExperimentSpec(kind="join", cache_size=CACHE)
+            data = [
+                generate_paths(config.r_model, config.s_model, n, 1, seed=i)[0]
+                for i, n in enumerate(self.LENGTHS)
+            ]
+        elif kind == "cache":
+            model = TestCacheEquivalence.MODELS["stationary"]
+            spec = ExperimentSpec(kind="cache", cache_size=CACHE)
+            data = [
+                generate_reference_paths(model, n, 1, seed=i)[0]
+                for i, n in enumerate(self.LENGTHS)
+            ]
+        else:
+            config = make_multi_config("CHAIN3")
+            spec = ExperimentSpec(
+                kind="multi_join",
+                cache_size=CACHE,
+                queries=tuple(tuple(q) for q in config.queries),
+                models=config.models,
+            )
+            data = [
+                {
+                    name: model.sample_path(n, np.random.default_rng(i))
+                    for name, model in config.models.items()
+                }
+                for i, n in enumerate(self.LENGTHS)
+            ]
+        return spec, data
+
+    @pytest.mark.parametrize("kind", ["join", "cache", "multi_join"])
+    def test_ragged_trials_are_refused(self, kind):
+        spec, data = self._ragged(kind)
+        scalar = ScalarEngine().run(spec, LruPolicy, data)
+        assert len(scalar.per_run) == 2
+        if kind != "cache":
+            assert [r.steps for r in scalar.per_run] == list(self.LENGTHS)
+        with pytest.raises(ValueError, match=r"per-trial lengths \[200, 100\]"):
+            BatchEngine().run(spec, LruPolicy, data)
+
+    def test_per_trial_side_mismatch_truncates_like_scalar(self):
+        config = tower_config()
+        r0, s0 = generate_paths(config.r_model, config.s_model, 120, 1, seed=0)[0]
+        r1, s1 = generate_paths(config.r_model, config.s_model, 150, 1, seed=1)[0]
+        data = [(r0[:100], s0), (r1, s1[:100])]
+        spec = ExperimentSpec(kind="join", cache_size=CACHE)
+        scalar = ScalarEngine().run(spec, LruPolicy, data)
+        batch = BatchEngine().run(spec, LruPolicy, data)
+        _assert_join_equal(scalar, batch)
+        assert [r.steps for r in batch.per_run] == [100, 100]
 
 
 class TestDeterminism:

@@ -106,6 +106,14 @@ class TestPerformanceMatrix:
             ("flowexpect reference pipeline", False),
             ("prob sketch counts", False),
             ("opt replay", False),
+            ("multi_join lru", True),
+            ("multi_join prob", True),
+            ("multi_join trie on independent models", True),
+            ("multi_join stationary generic heeb", True),
+            ("multi_join lru-k", False),
+            ("multi_join walk heeb", False),
+            ("multi_join life", False),
+            ("multi_join flowexpect", False),
         ],
     )
     def test_matrix_rows_match_dispatch(self, row, batchable):
@@ -130,6 +138,14 @@ class TestPerformanceMatrix:
             )
             defaults.update(overrides)
             return ExperimentSpec(**defaults)
+
+        def multi(model):
+            return ExperimentSpec(
+                kind="multi_join",
+                cache_size=4,
+                queries=(("A", "B"), ("B", "C")),
+                models={"A": model, "B": model, "C": model},
+            )
 
         cases = {
             "lru-k always batchable": (
@@ -180,6 +196,31 @@ class TestPerformanceMatrix:
                 lambda: make_policy("prob", counts="sketch"),
             ),
             "opt replay": (spec(stationary), lambda: ScheduledPolicy({})),
+            "multi_join lru": (multi(stationary), lambda: make_policy("lru")),
+            "multi_join prob": (multi(stationary), lambda: make_policy("prob")),
+            "multi_join trie on independent models": (
+                multi(stationary),
+                lambda: make_policy("trie"),
+            ),
+            "multi_join stationary generic heeb": (
+                multi(stationary),
+                lambda: HeebPolicy(GenericJoinHeeb(LExp(5.0), horizon=40)),
+            ),
+            "multi_join lru-k": (multi(stationary), lambda: make_policy("lru-k")),
+            "multi_join walk heeb": (
+                multi(walk),
+                lambda: HeebPolicy(GenericJoinHeeb(LExp(5.0), horizon=40)),
+            ),
+            "multi_join life": (multi(stationary), lambda: make_policy("life")),
+            "multi_join flowexpect": (
+                multi(stationary),
+                lambda: make_policy(
+                    "flowexpect",
+                    lookahead=2,
+                    r_model=stationary,
+                    s_model=stationary,
+                ),
+            ),
         }
         the_spec, factory = cases[row]
         reason = BatchEngine().supports(the_spec, factory)
