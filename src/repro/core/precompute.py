@@ -264,9 +264,15 @@ class H2Surface:
         self._spline = RectBivariateSpline(v_grid, x_grid, values, kx=3, ky=3)
 
     def __call__(self, v: float, x0: float) -> float:
+        """Spline value at one point, clamped to the control domain.
+
+        Evaluates through the pointwise fitpack routine (``.ev``) that
+        :meth:`evaluate_many` uses, so a scalar query and the same pair
+        inside a batch array give bit-identical floats.
+        """
         v_c = float(np.clip(v, self.v_grid[0], self.v_grid[-1]))
         x_c = float(np.clip(x0, self.x_grid[0], self.x_grid[-1]))
-        return float(self._spline(v_c, x_c)[0, 0])
+        return float(self._spline.ev(v_c, x_c))
 
     def evaluate_grid(
         self, v_values: np.ndarray, x_values: np.ndarray
@@ -282,7 +288,8 @@ class H2Surface:
         Unlike :meth:`evaluate_grid` (outer product), this pairs
         ``v_values[i]`` with ``x_values[i]``, which is the shape batch
         scoring needs.  Out-of-domain queries clamp to the control-grid
-        boundary exactly like the scalar :meth:`__call__`.
+        boundary, and every element equals the scalar :meth:`__call__`
+        bit for bit (same clip, same routine).
         """
         v_c = np.clip(np.asarray(v_values, dtype=np.float64), self.v_grid[0], self.v_grid[-1])
         x_c = np.clip(np.asarray(x_values, dtype=np.float64), self.x_grid[0], self.x_grid[-1])

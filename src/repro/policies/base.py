@@ -368,7 +368,7 @@ class ScoredPolicy(ReplacementPolicy):
             ranked = sorted(scored)
             # Eviction threshold over time: the best score that still got
             # evicted.  The batch engine mirrors this series for every
-            # exactly-scored adapter (trace events stay scalar-only).
+            # scored adapter (trace events stay scalar-only).
             rec.series("scores.cutoff", ctx.time, ranked[n_evict - 1][0])
             return [tup for _, _, tup in ranked[:n_evict]]
         ranked = sorted(

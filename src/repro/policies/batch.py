@@ -31,13 +31,14 @@ Equivalence is achieved by construction rather than by approximation:
 * the window-oracle logic of Section 6.2 (dead tuples first) is
   vectorized for :class:`~repro.policies.window_oracle.TrendWindowOracle`;
 * stateful policies whose scalar math is per-*value* rather than
-  per-slot (LRU-k's reference histories, the windowed HEEB variants'
-  per-tuple window clips, TrieCachePolicy's shared node scores and EMA
-  budgets, FlowExpect's min-cost-flow solves) are replayed through
+  per-slot (LRU-k's reference histories, windowed HEEB's per-tuple
+  window clips, TrieCachePolicy's shared node scores and EMA budgets,
+  FlowExpect's min-cost-flow solves) are replayed through
   *memo-gather* adapters: each distinct key calls the identical scalar
-  function exactly once and the result is scattered across all trials,
-  so the per-trial decisions stay bit-identical while the expensive
-  math is shared ``B``-fold.
+  function once and the result is scattered across all trials, so the
+  per-trial decisions stay bit-identical while the expensive math is
+  shared ``B``-fold (windowed HEEB gathers from the strategy's own
+  ``windowed_h``, whose memo both tiers share).
 
 A few configurations remain scalar-only and raise
 :class:`UnbatchablePolicyError` from :func:`make_batch_policy` (OPT
@@ -61,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.heeb import heeb_cache, heeb_join, heeb_join_band
-from ..core.lifetime import LExp, WindowedLExp
+from ..core.lifetime import LExp
 from ..core.precompute import H1Table, H2Surface
 from ..flow.fastpath import LookaheadTemplate, solve_unit_flow
 from ..flow.prob_table import ProbTable
@@ -105,8 +106,7 @@ __all__ = [
     "BatchWalkJoinHeeb",
     "BatchWalkCacheHeeb",
     "BatchStationaryJoinHeeb",
-    "BatchWindowedStationaryJoinHeeb",
-    "BatchWindowedTrendJoinHeeb",
+    "BatchWindowedJoinHeeb",
     "BatchBandJoinHeeb",
     "BatchSurfaceHeeb",
     "BatchTrendOracle",
@@ -171,16 +171,12 @@ class BatchPolicy(abc.ABC):
 
     name: str = "batch-policy"
 
-    #: Scored adapters return a ``(B, slots)`` score array and let the
-    #: engine pick the ``n_evict`` lowest (score, uid) slots per trial.
-    #: Non-scored adapters implement :meth:`select` directly.
+    #: Scored adapters return a ``(B, slots)`` score array — the
+    #: bit-identical floats the scalar policy computes — and let the
+    #: engine pick the ``n_evict`` lowest (score, uid) slots per trial
+    #: and mirror the scalar ``scores.cutoff`` series.  Non-scored
+    #: adapters implement :meth:`select` directly.
     scored: bool = True
-
-    #: Whether :meth:`scores` returns the *bit-identical* floats the
-    #: scalar policy computes.  The engine only mirrors the scalar
-    #: ``scores.cutoff`` series for exactly-scored adapters (the one
-    #: tolerance-level adapter, :class:`BatchSurfaceHeeb`, opts out).
-    exact_scores: bool = True
 
     def bind(self, names, partner_names) -> None:
         """Learn the run's topology (called before :meth:`reset`).
@@ -699,39 +695,29 @@ class BatchStationaryJoinHeeb(BatchPolicy):
         return out
 
 
-class _MemoGatherHeeb(BatchPolicy):
-    """Windowed HEEB via memo-gather over ``(side, value, remaining)``.
+class BatchWindowedJoinHeeb(BatchPolicy):
+    """Windowed joining HEEB (Section 7), gathered from the strategy.
 
-    Section 7 clips each tuple's survival estimate at its own window
-    expiry, so scores depend on the per-tuple *remaining* window —
+    The window clips each tuple's survival estimate at its own expiry,
+    so scores depend on the per-tuple *remaining* window —
     ``max(0, arrival + window − t)``, at most ``window + 1`` distinct
-    values — rather than the value alone.  Subclasses provide
-    ``_score_one(side_code, value, remaining, t)``, which calls the
-    identical scalar scoring function once per distinct key; this base
-    class vectorizes the rest: the remaining-window arithmetic, the
-    ``np.unique`` key extraction over all alive slots, and the scatter
-    of memoized scores back into the ``(B, slots)`` array.  Because
-    every float comes out of the scalar function, batch scores (and the
-    ``scores.cutoff`` series) are bit-identical to the scalar tier.
+    values — rather than the value alone.  The adapter vectorizes the
+    remaining-window arithmetic, extracts the distinct ``(side, value,
+    remaining)`` keys over all alive slots with ``np.unique``, calls the
+    strategy's ``windowed_h`` once per key and scatters the scores back
+    into the ``(B, slots)`` array.  ``windowed_h`` (trend or generic) is
+    what the scalar ``h_value`` calls and owns the score memo, so batch
+    scores (and the ``scores.cutoff`` series) are the scalar floats.
     """
 
     name = "HEEB"
 
-    def __init__(self, window: int):
+    def __init__(
+        self, strategy: TrendJoinHeeb | GenericJoinHeeb, r_model, s_model, window
+    ):
+        self._strategy = strategy
+        self._partner_of = (s_model, r_model)  # indexed by R_CODE / S_CODE
         self._window = int(window)
-        self._memo: dict[tuple[int, int, int], float] = {}
-
-    def reset(self, n_trials: int, n_slots: int) -> None:
-        self._memo = {}
-
-    def _score_one(self, side: int, value: int, remaining: int, t: int) -> float:
-        raise NotImplementedError
-
-    def _memo_key(
-        self, side: int, value: int, remaining: int, t: int
-    ) -> Optional[tuple]:
-        """Memo key for a score, or ``None`` to disable memoization."""
-        return (side, value, remaining)
 
     def scores(self, state, t: int) -> np.ndarray:
         out = np.zeros(state.val.shape)
@@ -743,96 +729,16 @@ class _MemoGatherHeeb(BatchPolicy):
             [state.side[alive], state.val[alive], remaining[alive]], axis=-1
         )
         uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        scores = np.empty(uniq.shape[0])
-        for i, (side, value, rem) in enumerate(uniq.tolist()):
-            key = self._memo_key(side, value, rem, t)
-            h = self._memo.get(key) if key is not None else None
-            if h is None:
-                h = self._score_one(side, value, rem, t)
-                if key is not None:
-                    self._memo[key] = h
-            scores[i] = h
+        windowed_h = self._strategy.windowed_h
+        partner_of = self._partner_of
+        scores = np.array(
+            [
+                windowed_h(partner_of[side], value, rem, t)
+                for side, value, rem in uniq.tolist()
+            ]
+        )
         out[alive] = scores[inverse]
         return out
-
-
-class BatchWindowedStationaryJoinHeeb(_MemoGatherHeeb):
-    """Windowed generic joining HEEB over stationary partners.
-
-    The scalar path scores a tuple with ``heeb_join(partner, t, v,
-    WindowedLExp(alpha, remaining), horizon)``; for i.i.d. partners the
-    result is independent of ``t``, so one persistent memo keyed
-    ``(side, value, remaining)`` — each entry produced by that exact
-    scalar call — answers every query for the whole run.
-    """
-
-    def __init__(
-        self,
-        strategy: GenericJoinHeeb,
-        r_model: StationaryStream,
-        s_model: StationaryStream,
-        window: int,
-    ):
-        super().__init__(window)
-        assert isinstance(strategy.estimator, LExp)
-        self._alpha = strategy.estimator.alpha
-        self._horizon = strategy.horizon
-        self._partner_of = {R_CODE: s_model, S_CODE: r_model}
-
-    def _score_one(self, side: int, value: int, remaining: int, t: int) -> float:
-        estimator = WindowedLExp(self._alpha, remaining)
-        return heeb_join(
-            self._partner_of[side], 0, value, estimator, self._horizon
-        )
-
-
-class BatchWindowedTrendJoinHeeb(_MemoGatherHeeb):
-    """Windowed HEEB over linear trends: memoized per-tuple direct sums.
-
-    The scalar path evaluates ``TrendJoinHeeb._direct_sum(partner, v, t,
-    min(remaining, suggested_horizon))`` per tuple.  For unit-speed
-    trends the sum depends only on the trend offset ``v − f(t)`` and the
-    clipped horizon (integer trend arithmetic makes the translated pmf
-    arrays element-identical), so the memo persists across steps keyed
-    on the offset; other speeds lack translation invariance and fall
-    back to a per-step memo.  Every entry is produced by the public
-    :meth:`~repro.policies.heeb_policy.TrendJoinHeeb.direct_sum` — the
-    scalar expression itself — keeping scores bit-identical.
-    """
-
-    def __init__(
-        self,
-        strategy: TrendJoinHeeb,
-        r_model: LinearTrendStream,
-        s_model: LinearTrendStream,
-        window: int,
-    ):
-        super().__init__(window)
-        self._strategy = strategy
-        self._partner_of = {R_CODE: s_model, S_CODE: r_model}
-        self._suggested = strategy.estimator.suggested_horizon(strategy.tol)
-        self._translation = r_model.speed == 1.0 and s_model.speed == 1.0
-        self._memo_t: Optional[int] = None
-
-    def _memo_key(
-        self, side: int, value: int, remaining: int, t: int
-    ) -> Optional[tuple]:
-        horizon = min(remaining, self._suggested)
-        if self._translation:
-            return (side, value - self._partner_of[side].trend(t), horizon)
-        return (side, value, remaining)
-
-    def scores(self, state, t: int) -> np.ndarray:
-        if not self._translation and self._memo_t != t:
-            self._memo = {}
-            self._memo_t = t
-        return super().scores(state, t)
-
-    def _score_one(self, side: int, value: int, remaining: int, t: int) -> float:
-        horizon = min(remaining, self._suggested)
-        return self._strategy.direct_sum(
-            self._partner_of[side], value, t, horizon
-        )
 
 
 class BatchBandJoinHeeb(BatchPolicy):
@@ -885,46 +791,30 @@ class BatchSurfaceHeeb(BatchPolicy):
     """AR(1) HEEB via the precomputed ``h2`` spline surface (Theorem 5(1)).
 
     Uses pointwise spline evaluation
-    (:meth:`~repro.core.precompute.H2Surface.evaluate_many`); agrees with
-    the scalar strategies to floating-point evaluation order, which is
-    close but not guaranteed bit-identical — the one adapter outside the
-    bit-exactness guarantee (hence ``exact_scores = False``: the engine
-    does not mirror the scalar ``scores.cutoff`` series for it).
+    (:meth:`~repro.core.precompute.H2Surface.evaluate_many`), the same
+    fitpack routine the scalar strategies call through
+    :meth:`~repro.core.precompute.H2Surface.__call__` on the same
+    latent anchors, so batch and scalar scores are bit-identical.
     """
 
     name = "HEEB"
-    exact_scores = False
 
     def __init__(self, surface: H2Surface, model: AR1Stream, kind: str):
         self._surface = surface
         self._model = model
         self._kind = kind
 
-    def _latent(self, anchors: np.ndarray) -> np.ndarray:
-        return anchors * self._model.bucket
-
     def scores(self, state, t: int) -> np.ndarray:
-        if self._kind == "cache":
-            no_anchor = state.last_r == NONE_VALUE
-            anchor = np.where(no_anchor, 0, state.last_r)
-            latent = self._latent(anchor)[:, None]
-            latent = np.broadcast_to(latent, state.val.shape)
-            sc = self._surface.evaluate_many(state.val.astype(np.float64), latent)
-            return np.where(no_anchor[:, None], 0.0, sc)
-        no_s = state.last_s == NONE_VALUE
-        no_r = state.last_r == NONE_VALUE
-        lat_s = self._latent(np.where(no_s, 0, state.last_s))[:, None]
-        lat_r = self._latent(np.where(no_r, 0, state.last_r))[:, None]
-        vals = state.val.astype(np.float64)
-        sc_r = self._surface.evaluate_many(
-            vals, np.broadcast_to(lat_s, vals.shape)
-        )
-        sc_s = self._surface.evaluate_many(
-            vals, np.broadcast_to(lat_r, vals.shape)
-        )
-        sc_r = np.where(no_s[:, None], 0.0, sc_r)
-        sc_s = np.where(no_r[:, None], 0.0, sc_s)
-        return np.where(state.side == R_CODE, sc_r, sc_s)
+        # Each slot's anchor is its partner's latest observation: R for
+        # cached tuples, the other side of the join otherwise.
+        anchor = state.last_r[:, None]
+        if self._kind == "join":
+            anchor = np.where(state.side == R_CODE, state.last_s[:, None], anchor)
+        anchor = np.broadcast_to(anchor, state.val.shape)
+        no_anchor = anchor == NONE_VALUE
+        latent = np.where(no_anchor, 0, anchor) * self._model.bucket
+        sc = self._surface.evaluate_many(state.val.astype(np.float64), latent)
+        return np.where(no_anchor, 0.0, sc)
 
 
 # ----------------------------------------------------------------------
@@ -979,7 +869,6 @@ class BatchTrie(BatchPolicy):
         self._partners_of: list[tuple[str, ...]] = []
         self._persistent = False
         self._memo: dict[tuple[int, int], float] = {}
-        self._memo_t: Optional[int] = None
         self._pressure = np.zeros((0, 0))
         self._shares = np.zeros((0, 0))
         self._cutoff_log: list[list[tuple[int, float]]] = []
@@ -1013,7 +902,6 @@ class BatchTrie(BatchPolicy):
         self._pressure = np.zeros((n_trials, n_levels))
         self._shares = np.full((n_trials, n_levels), 1.0 / n_levels)
         self._memo = {}
-        self._memo_t = None
         self._cutoff_log = [[] for _ in range(n_trials)]
         self._budget_logs = {
             name: [[] for _ in range(n_trials)] for name in self._levels
@@ -1028,10 +916,10 @@ class BatchTrie(BatchPolicy):
         return out
 
     def select(self, state, n_evict: np.ndarray, t: int) -> np.ndarray:
-        if self._memo_t != t:
-            if not self._persistent:
-                self._memo = {}
-            self._memo_t = t
+        if not self._persistent:
+            # The engine selects at most once per step: a fresh memo here
+            # is the per-step epoch of time-dependent node scores.
+            self._memo = {}
         victims = np.zeros(state.alive.shape, dtype=bool)
         part_rows = np.flatnonzero(n_evict > 0).tolist()
         if not part_rows:
@@ -1341,10 +1229,8 @@ def _batch_heeb(
         ):
             if window is not None:
                 # The windowed branch of the scalar h_value applies at
-                # every speed; the memo-gather replay covers it whole.
-                return BatchWindowedTrendJoinHeeb(
-                    strategy, r_model, s_model, window
-                )
+                # every speed; the gather replay covers it whole.
+                return BatchWindowedJoinHeeb(strategy, r_model, s_model, window)
             if r_model.speed == 1.0 and s_model.speed == 1.0:
                 return BatchTrendJoinHeeb(strategy, r_model, s_model)
     elif isinstance(strategy, WalkJoinHeeb):
@@ -1385,9 +1271,7 @@ def _batch_heeb(
                         "its windowed form clips L per tuple, which "
                         "requires an LExp base estimator",
                     )
-                return BatchWindowedStationaryJoinHeeb(
-                    strategy, r_model, s_model, window
-                )
+                return BatchWindowedJoinHeeb(strategy, r_model, s_model, window)
             return BatchStationaryJoinHeeb(strategy, models, partner_names)
     raise _unbatchable(
         policy.name,

@@ -20,17 +20,9 @@ from typing import Sequence
 from ..core.dominance import find_dominated_subset
 from ..core.ecb import ECB, ecb_cache, ecb_join
 from ..core.tuples import StreamTuple
-from ..streams.base import History, Value
 from .base import PolicyContext, ReplacementPolicy
 
 __all__ = ["DominanceGuardedPolicy"]
-
-
-def _latest_history(values: Sequence[Value], now: int) -> History | None:
-    for t in range(min(now, len(values) - 1), -1, -1):
-        if values[t] is not None:
-            return History(now=t, last_value=values[t])
-    return None
 
 
 class DominanceGuardedPolicy(ReplacementPolicy):
@@ -78,14 +70,14 @@ class DominanceGuardedPolicy(ReplacementPolicy):
                 raise ValueError("dominance guard needs the reference model")
             history = None
             if not reference.is_independent:
-                history = _latest_history(ctx.r_history, ctx.time)
+                history = ctx.latest_history("R")
             return ecb_cache(reference, ctx.time, tup.value, self.horizon, history)
         partner = ctx.partner_model(tup.side)
         if partner is None:
             raise ValueError("dominance guard needs both stream models")
         history = None
         if not partner.is_independent:
-            history = _latest_history(ctx.partner_history(tup.side), ctx.time)
+            history = ctx.latest_history(ctx.partners_of(tup.side)[0])
         return ecb_join(partner, ctx.time, tup.value, self.horizon, history)
 
     def select_victims(

@@ -8,13 +8,20 @@ surfaces for AR(1) (Theorem 5).  :class:`HeebPolicy` delegates to a
 :class:`HeebStrategy` implementing the appropriate computation; all
 strategies share one ``L`` for every candidate, which trivially satisfies
 property 4 of Section 4.3.
+
+The strategies also own the score memo of Section 4.4.  Windowed
+joining HEEB (Section 7) clips each tuple's survival at its own window
+expiry, so no per-value table applies; :meth:`TrendJoinHeeb.windowed_h`
+and :meth:`GenericJoinHeeb.windowed_h` instead memoize the score on
+exactly what it depends on (partner, trend offset or value, clipped
+horizon).  The batch tier gathers from the same method, so every tier
+reads the same floats.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -23,9 +30,10 @@ from ..core.lifetime import LExp, LifetimeEstimator, WindowedLExp
 from ..core.precompute import H1Table, H2Surface, random_walk_h1_join
 from ..core.tuples import StreamTuple
 from ..streams.ar1 import AR1Stream
-from ..streams.base import History, Value
+from ..streams.base import History, StreamModel, Value
 from ..streams.linear_trend import LinearTrendStream
 from ..streams.random_walk import RandomWalkStream
+from ..streams.stationary import StationaryStream
 from .base import PolicyContext, ScoredPolicy
 
 __all__ = [
@@ -40,13 +48,6 @@ __all__ = [
     "BandJoinHeeb",
     "HeebPolicy",
 ]
-
-
-def _latest_history(values: Sequence[Value], now: int) -> History | None:
-    for t in range(min(now, len(values) - 1), -1, -1):
-        if values[t] is not None:
-            return History(now=t, last_value=values[t])
-    return None
 
 
 class HeebStrategy(abc.ABC):
@@ -65,60 +66,69 @@ class GenericJoinHeeb(HeebStrategy):
 
     Exact but slow (one ``prob`` call per look-ahead step); intended for
     small runs and as the reference the specialized strategies are tested
-    against.  Supports sliding-window semantics by switching to the
-    window-clipped ``L_exp`` of Section 7.
+    against.  Appendix C sums the binary benefit over every partner
+    stream the tuple can join; the binary join is the 1-partner case and
+    yields the identical float.  Supports sliding-window semantics by
+    switching to the window-clipped ``L_exp`` of Section 7
+    (:meth:`windowed_h`).
     """
 
     def __init__(self, estimator: LifetimeEstimator, horizon: int | None = None):
         self.estimator = estimator
         self.horizon = horizon
+        self._memo: dict[tuple[StreamModel, Value, int], float] = {}
 
-    def _estimator_for(self, tup: StreamTuple, ctx: PolicyContext) -> LifetimeEstimator:
-        if ctx.window is None:
-            return self.estimator
+    def reset(self, ctx: PolicyContext) -> None:
+        self._memo = {}
+
+    def windowed_h(
+        self,
+        partner: StreamModel,
+        value: Value,
+        remaining: int,
+        t: int,
+        history: History | None = None,
+    ) -> float:
+        """``H`` against ``partner`` with ``L`` clipped after ``remaining`` steps.
+
+        A :class:`StationaryStream` partner's ``heeb_join`` does not
+        depend on ``t``, so its scores are memoized on ``(partner, value,
+        remaining)``: at most support × (window + 1) entries per partner,
+        each the direct sum itself.  Other partners are summed directly.
+        """
         if not isinstance(self.estimator, LExp):
             raise ValueError("windowed HEEB requires an LExp base estimator")
-        remaining = max(0, tup.arrival + ctx.window - ctx.time)
-        return WindowedLExp(self.estimator.alpha, remaining)
+        key = (partner, value, remaining)
+        h = self._memo.get(key)
+        if h is None:
+            estimator = WindowedLExp(self.estimator.alpha, remaining)
+            h = heeb_join(partner, t, value, estimator, self.horizon, history)
+            if isinstance(partner, StationaryStream):
+                self._memo[key] = h
+        return h
 
     def h_value(self, tup: StreamTuple, ctx: PolicyContext) -> float:
-        if ctx.is_multi:
-            return self._h_value_multi(tup, ctx)
-        partner = ctx.partner_model(tup.side)
-        if partner is None:
-            raise ValueError("GenericJoinHeeb needs stream models in context")
-        history = None
-        if not partner.is_independent:
-            history = _latest_history(ctx.partner_history(tup.side), ctx.time)
-        return heeb_join(
-            partner,
-            ctx.time,
-            tup.value,
-            self._estimator_for(tup, ctx),
-            self.horizon,
-            history,
-        )
-
-    def _h_value_multi(self, tup: StreamTuple, ctx: PolicyContext) -> float:
-        """Appendix C rule: ``H`` sums the binary benefit over every
-        partner stream the tuple can join — the binary join is the
-        1-partner degenerate case and yields the identical float."""
-        if ctx.models is None:
-            raise ValueError("GenericJoinHeeb needs stream models in context")
-        estimator = self._estimator_for(tup, ctx)
+        remaining = None
+        if ctx.window is not None:
+            remaining = max(0, tup.arrival + ctx.window - ctx.time)
         total = 0.0
         for name in ctx.partners_of(tup.side):
             partner = ctx.model_for(name)
             if partner is None:
                 raise ValueError(
-                    f"GenericJoinHeeb: no model for stream {name!r}"
+                    f"GenericJoinHeeb needs stream models in context "
+                    f"(none for {name!r})"
                 )
-            history = None
-            if not partner.is_independent:
-                history = ctx.latest_history(name)
-            total += heeb_join(
-                partner, ctx.time, tup.value, estimator, self.horizon, history
-            )
+            history = None if partner.is_independent else ctx.latest_history(name)
+            if remaining is None:
+                total += heeb_join(
+                    partner, ctx.time, tup.value, self.estimator, self.horizon,
+                    history,
+                )
+            else:
+                total += self.windowed_h(
+                    partner, tup.value, remaining, ctx.time, history
+                )
         return total
 
 
@@ -135,7 +145,7 @@ class GenericCacheHeeb(HeebStrategy):
             raise ValueError("GenericCacheHeeb needs the reference model")
         history = None
         if not reference.is_independent:
-            history = _latest_history(ctx.r_history, ctx.time)
+            history = ctx.latest_history("R")
         return heeb_cache(
             reference,
             ctx.time,
@@ -165,10 +175,13 @@ class TrendJoinHeeb(HeebStrategy):
             raise ValueError("TrendJoinHeeb requires LExp")
         self.estimator = estimator
         self.tol = tol
+        self._suggested = estimator.suggested_horizon(tol)
         self._tables: dict[str, dict[int, float]] = {}
+        self._memo: dict[tuple[LinearTrendStream, int, int], float] = {}
 
     def reset(self, ctx: PolicyContext) -> None:
         self._tables = {}
+        self._memo = {}
 
     def _table_for(self, partner: LinearTrendStream, key: str) -> dict[int, float]:
         table = self._tables.get(key)
@@ -207,21 +220,28 @@ class TrendJoinHeeb(HeebStrategy):
         pmfs = noise.pmf_many(value - trend_vals)
         return float(np.dot(pmfs, np.exp(-dts / alpha)))
 
-    def direct_sum(
-        self,
-        partner: LinearTrendStream,
-        value: int,
-        t0: int,
-        max_dt: int,
+    def windowed_h(
+        self, partner: LinearTrendStream, value: int, remaining: int, t: int
     ) -> float:
-        """Public access to the windowed/general-speed direct sum.
+        """``H`` at ``t`` with ``L`` clipped after ``remaining`` steps.
 
-        The batch engine's windowed adapter calls this per distinct
-        ``(offset, clipped horizon)`` key — the same NumPy expression the
-        scalar path evaluates, so memoized batch scores stay
-        bit-identical to per-tuple scalar scores.
+        The direct sum runs to ``min(remaining, suggested_horizon)``.  For
+        a unit-speed partner it depends only on the trend offset ``value
+        − f(t)`` and that clipped horizon (integer trend arithmetic makes
+        the translated pmf arrays element-identical), so it is memoized
+        on ``(partner, offset, horizon)``: at most offset range ×
+        (window + 1) entries per partner.  Other speeds lack translation
+        invariance and are summed directly.
         """
-        return self._direct_sum(partner, value, t0, max_dt)
+        horizon = min(remaining, self._suggested)
+        if partner.speed != 1.0:
+            return self._direct_sum(partner, value, t, horizon)
+        key = (partner, value - partner.trend(t), horizon)
+        h = self._memo.get(key)
+        if h is None:
+            h = self._direct_sum(partner, value, t, horizon)
+            self._memo[key] = h
+        return h
 
     def table_array(
         self, partner: LinearTrendStream, key: str
@@ -246,15 +266,12 @@ class TrendJoinHeeb(HeebStrategy):
             # Section 7: the tuple's own window expiry clips L; the clip
             # point is per-tuple, so the shared table does not apply.
             remaining = max(0, tup.arrival + ctx.window - ctx.time)
-            horizon = min(remaining, self.estimator.suggested_horizon(self.tol))
-            return self._direct_sum(partner, v, ctx.time, horizon)
+            return self.windowed_h(partner, v, remaining, ctx.time)
         if partner.speed == 1.0:
             table = self._table_for(partner, f"partner-of-{tup.side}")
             return table.get(v - partner.trend(ctx.time), 0.0)
         # General speed: direct vectorized sum over the covering Δt range.
-        return self._direct_sum(
-            partner, v, ctx.time, self.estimator.suggested_horizon(self.tol)
-        )
+        return self._direct_sum(partner, v, ctx.time, self._suggested)
 
 
 class WalkJoinHeeb(HeebStrategy):
@@ -274,30 +291,27 @@ class WalkJoinHeeb(HeebStrategy):
     def reset(self, ctx: PolicyContext) -> None:
         self._tables = {}
 
-    def _table_for(self, partner: RandomWalkStream, key: str) -> H1Table:
+    def table_for(self, partner: RandomWalkStream, key: str) -> H1Table:
+        """The per-partner ``h1`` table, built lazily.
+
+        The batch engine reuses the exact same table via
+        :meth:`H1Table.lookup`, which keeps batch and scalar scores
+        bit-identical.
+        """
         table = self._tables.get(key)
         if table is None:
             table = random_walk_h1_join(partner, self.estimator, self.horizon)
             self._tables[key] = table
         return table
 
-    def table_for(self, partner: RandomWalkStream, key: str) -> H1Table:
-        """Public access to the per-partner ``h1`` table (built lazily).
-
-        The batch engine reuses the exact same table via
-        :meth:`H1Table.lookup`, which keeps batch and scalar scores
-        bit-identical.
-        """
-        return self._table_for(partner, key)
-
     def h_value(self, tup: StreamTuple, ctx: PolicyContext) -> float:
         partner = ctx.partner_model(tup.side)
         if not isinstance(partner, RandomWalkStream):
             raise ValueError("WalkJoinHeeb expects RandomWalkStream partners")
-        history = _latest_history(ctx.partner_history(tup.side), ctx.time)
+        history = ctx.latest_history(ctx.partners_of(tup.side)[0])
         if history is None:
             return 0.0
-        table = self._table_for(partner, f"partner-of-{tup.side}")
+        table = self.table_for(partner, f"partner-of-{tup.side}")
         return table(int(tup.value) - int(history.last_value))
 
 
@@ -314,7 +328,7 @@ class WalkCacheHeeb(HeebStrategy):
         self.table = table
 
     def h_value(self, tup: StreamTuple, ctx: PolicyContext) -> float:
-        history = _latest_history(ctx.r_history, ctx.time)
+        history = ctx.latest_history("R")
         if history is None:
             return 0.0
         return self.table(int(tup.value) - int(history.last_value))
@@ -333,7 +347,7 @@ class AR1CacheHeeb(HeebStrategy):
         self.surface = surface
 
     def h_value(self, tup: StreamTuple, ctx: PolicyContext) -> float:
-        history = _latest_history(ctx.r_history, ctx.time)
+        history = ctx.latest_history("R")
         if history is None:
             return 0.0
         latent_now = self.model.to_latent(int(history.last_value))
@@ -354,7 +368,7 @@ class AR1JoinHeeb(HeebStrategy):
         self.surface = surface
 
     def h_value(self, tup: StreamTuple, ctx: PolicyContext) -> float:
-        history = _latest_history(ctx.partner_history(tup.side), ctx.time)
+        history = ctx.latest_history(ctx.partners_of(tup.side)[0])
         if history is None:
             return 0.0
         latent_now = self.model.to_latent(int(history.last_value))
@@ -388,7 +402,7 @@ class BandJoinHeeb(HeebStrategy):
             raise ValueError("BandJoinHeeb needs stream models in context")
         history = None
         if not partner.is_independent:
-            history = _latest_history(ctx.partner_history(tup.side), ctx.time)
+            history = ctx.latest_history(ctx.partners_of(tup.side)[0])
         return heeb_join_band(
             partner,
             ctx.time,

@@ -90,7 +90,6 @@ class TrieCachePolicy(ReplacementPolicy):
         self._shares: dict[str, float] = {}
         #: Per-step memo of node scores, keyed ``(stream, value)``.
         self._memo: dict[tuple[str, int], float] = {}
-        self._memo_time: Optional[int] = None
         #: Frequency fallback: per-stream value counts plus the history
         #: prefix length already folded in (PROB-style incremental sync).
         self._counts: dict[str, dict[int, int]] = {}
@@ -112,7 +111,6 @@ class TrieCachePolicy(ReplacementPolicy):
             name: 1.0 / len(self._levels) for name in self._levels
         }
         self._memo = {}
-        self._memo_time = None
         self._counts = {name: {} for name in self._levels}
         self._consumed = {name: 0 for name in self._levels}
 
@@ -120,11 +118,14 @@ class TrieCachePolicy(ReplacementPolicy):
     # Node scoring (shared across every tuple under a (stream, value))
     # ------------------------------------------------------------------
     def _sync(self, ctx: PolicyContext) -> None:
-        """Advance the per-step memo epoch and fold new history entries
-        into the frequency counts."""
-        if self._memo_time != ctx.time:
-            self._memo = {}
-            self._memo_time = ctx.time
+        """Start this step's node-score memo and fold new history
+        entries into the frequency counts.
+
+        Simulators select at most once per step, so a fresh memo per
+        call is the per-step epoch (and a second call in the same step
+        would only recompute the same floats).
+        """
+        self._memo = {}
         for name in self._levels:
             history = ctx.history_for(name)
             counts = self._counts[name]

@@ -383,13 +383,13 @@ def _cutoff_log_for(
     """Per-trial ``scores.cutoff`` sinks, only where the scalar tier emits.
 
     Scalar ``scores.cutoff`` comes from
-    :class:`~repro.policies.base.ScoredPolicy`; its batch mirror exists
-    exactly for scored adapters whose score floats are bit-identical
-    (``exact_scores``).  Non-scored adapters that emit their own series
-    (Trie) route them through
-    :meth:`~repro.policies.batch.BatchPolicy.series_logs` instead.
+    :class:`~repro.policies.base.ScoredPolicy`; every scored adapter
+    returns its bit-identical floats, so every one mirrors it.
+    Non-scored adapters that emit their own series (Trie) route them
+    through :meth:`~repro.policies.batch.BatchPolicy.series_logs`
+    instead.
     """
-    if rec_on and policy.scored and policy.exact_scores:
+    if rec_on and policy.scored:
         return [[] for _ in range(n_trials)]
     return None
 

@@ -19,11 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lifetime import LExp
+from repro.core.precompute import ar1_h2_cache, ar1_h2_join
 from repro.experiments.configs import tower_config, walk_config
 from repro.obs import CounterRecorder
 from repro.policies import make_policy
 from repro.policies.flowexpect_policy import FlowExpectPolicy
 from repro.policies.heeb_policy import (
+    AR1CacheHeeb,
+    AR1JoinHeeb,
     BandJoinHeeb,
     GenericJoinHeeb,
     HeebPolicy,
@@ -38,6 +41,7 @@ from repro.sim.runner import (
     run_join_experiment,
 )
 from repro.streams import (
+    AR1Stream,
     LinearTrendStream,
     RandomWalkStream,
     StationaryStream,
@@ -220,8 +224,9 @@ class TestWindowedHeeb:
         assert any(r.total_results > 0 for r in scalar.per_run)
 
     def test_trend_general_speed(self):
-        """speed != 1 lacks translation invariance: the adapter's
-        per-step memo branch must still reproduce the scalar sums."""
+        """speed != 1 lacks translation invariance: the strategy sums
+        each distinct key directly and must still reproduce the scalar
+        sums."""
         r_model = LinearTrendStream(bounded_normal(10, 1.5), speed=2.0, lag=1)
         s_model = LinearTrendStream(bounded_normal(15, 2.0), speed=2.0, lag=0)
         factory = lambda: HeebPolicy(TrendJoinHeeb(LExp(4.0)))
@@ -262,6 +267,61 @@ class TestBandJoinHeeb:
         batch = BatchEngine().run(spec, factory, paths)
         _assert_join_equal(scalar, batch)
         assert any(r.total_results > 0 for r in scalar.per_run)
+
+
+class TestSurfaceHeeb:
+    """AR(1) HEEB: scalar and batch evaluate the h2 spline through the
+    same pointwise routine, so scores — and the mirrored scores.cutoff
+    series — are bit-identical."""
+
+    MODEL = AR1Stream(phi0=2.0, phi1=0.6, sigma=2.0, bucket=1.0)
+
+    def _grids(self):
+        center = self.MODEL.stationary_mean
+        v_grid = np.linspace(center - 6, center + 6, 5).round()
+        x_grid = np.linspace(center - 6, center + 6, 5)
+        return v_grid, x_grid
+
+    def test_join_exact_with_cutoff_series(self):
+        surface = ar1_h2_join(self.MODEL, LExp(4.0), *self._grids(), horizon=30)
+        rec_scalar, rec_batch = CounterRecorder(), CounterRecorder()
+        scalar, batch = _join_both(
+            self.MODEL,
+            self.MODEL,
+            lambda: HeebPolicy(AR1JoinHeeb(self.MODEL, surface)),
+            recorders=(rec_scalar, rec_batch),
+        )
+        _assert_join_equal(scalar, batch)
+        _assert_snapshot_equal(
+            rec_batch.series_data["scores.cutoff"],
+            rec_scalar.series_data["scores.cutoff"],
+            "scores.cutoff",
+        )
+
+    def test_cache_exact_with_cutoff_series(self):
+        surface = ar1_h2_cache(
+            self.MODEL, LExp(4.0), *self._grids(), exact_steps=30
+        )
+        factory = lambda: HeebPolicy(AR1CacheHeeb(self.MODEL, surface))
+        refs = generate_reference_paths(self.MODEL, LENGTH, N_RUNS, seed=11)
+        kwargs = dict(
+            cache_size=CACHE, warmup=WARMUP, reference_model=self.MODEL
+        )
+        rec_scalar, rec_batch = CounterRecorder(), CounterRecorder()
+        scalar = run_cache_experiment(
+            factory, refs, recorder=rec_scalar, **kwargs
+        )
+        batch = run_cache_experiment(
+            factory, refs, engine="batch", recorder=rec_batch, **kwargs
+        )
+        assert batch.engine_used == "batch"
+        _assert_cache_equal(scalar, batch)
+        assert any(r.hits > 0 for r in scalar.per_run)
+        _assert_snapshot_equal(
+            rec_batch.series_data["scores.cutoff"],
+            rec_scalar.series_data["scores.cutoff"],
+            "scores.cutoff",
+        )
 
 
 # ----------------------------------------------------------------------

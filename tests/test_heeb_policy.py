@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lifetime import LExp, LFixed
 from repro.core.tuples import StreamTuple
@@ -82,6 +84,78 @@ class TestTrendJoinHeebAgainstGeneric:
         tup = StreamTuple(0, "S", 22, t0)
         assert fast.h_value(tup, ctx) == pytest.approx(
             generic.h_value(tup, ctx), abs=1e-6
+        )
+
+
+WINDOW = 6
+
+# (side, value offset, arrival lag, t): the value sits near the partner
+# trend, the tuple arrived up to WINDOW + 1 steps before t, and t moves
+# in any direction between queries (as when a new batch run restarts
+# at t = 0 on a warm strategy).  The ranges are narrow so that memo
+# keys repeat within one example.
+_QUERIES = st.lists(
+    st.tuples(
+        st.sampled_from(["R", "S"]),
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=0, max_value=WINDOW + 1),
+        st.integers(min_value=0, max_value=40),
+    ),
+    min_size=10,
+    max_size=60,
+)
+
+
+def _assert_warm_memo_exact(make_strategy, r_model, s_model, queries, speed):
+    """A strategy that scored every earlier query (warm memo) must give
+    the bit-identical float a fresh strategy computes."""
+    warm = make_strategy()
+    for uid, (side, offset, lag, t) in enumerate(queries):
+        ctx = join_ctx(r_model, s_model, t, [], [], window=WINDOW)
+        value = int(round(speed * t)) + offset
+        tup = StreamTuple(uid, side, value, t - lag)
+        expected = make_strategy().h_value(tup, ctx)
+        assert warm.h_value(tup, ctx) == expected, (side, value, t - lag, t)
+
+
+class TestWindowedMemoExact:
+    # Integer speeds keep the trend offset translation-invariant; 0.5
+    # does not (rounding), so it must bypass the memo.
+    @pytest.mark.parametrize("speed", [1.0, 2.0, 0.5])
+    @settings(max_examples=60, deadline=None)
+    @given(queries=_QUERIES)
+    def test_trend_memo_matches_fresh(self, speed, queries):
+        r_model = LinearTrendStream(bounded_normal(5, 2.0), speed=speed, lag=1)
+        s_model = LinearTrendStream(bounded_uniform(4), speed=speed)
+        _assert_warm_memo_exact(
+            lambda: TrendJoinHeeb(LExp(3.0)), r_model, s_model, queries, speed
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(queries=_QUERIES)
+    def test_generic_stationary_memo_matches_fresh(self, queries):
+        r_model = StationaryStream(from_mapping({-2: 0.3, 0: 0.5, 3: 0.2}))
+        s_model = StationaryStream(bounded_uniform(4))
+        _assert_warm_memo_exact(
+            lambda: GenericJoinHeeb(LExp(3.0), horizon=20),
+            r_model,
+            s_model,
+            queries,
+            0.0,
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(queries=_QUERIES)
+    def test_generic_time_dependent_partner_matches_fresh(self, queries):
+        """Trend partners make ``heeb_join`` depend on ``t``: no memo."""
+        r_model = LinearTrendStream(bounded_normal(5, 2.0), speed=1.0, lag=1)
+        s_model = LinearTrendStream(bounded_uniform(4), speed=1.0)
+        _assert_warm_memo_exact(
+            lambda: GenericJoinHeeb(LExp(3.0), horizon=20),
+            r_model,
+            s_model,
+            queries,
+            1.0,
         )
 
 

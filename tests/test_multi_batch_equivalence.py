@@ -6,7 +6,7 @@ identical to the scalar reference: total and per-query results,
 per-stream occupancy trajectories, :mod:`repro.obs` counters, and the
 multi-join telemetry series (``cache.occupancy``, ``join.results.cum``,
 ``cache.hit_rate``), plus the policy-side series the batch tier mirrors
-for exactly-scored adapters (``scores.cutoff``) and for the trie
+for scored adapters (``scores.cutoff``) and for the trie
 replay (``trie.budget.<stream>``).  Trace events stay scalar-only.
 """
 

@@ -13,8 +13,8 @@ Pins the acceptance contract of the time-series layer:
   turned into NaN;
 * every documented emitter actually emits: simulators (occupancy,
   cumulative results/hits, hit rate), scored policies (score cutoff,
-  mirrored bit-identically by the batch tier for exactly-scored
-  adapters), and the FlowExpect fast path (per-solve latency, memo hit
+  mirrored bit-identically by the batch tier for every scored
+  adapter), and the FlowExpect fast path (per-solve latency, memo hit
   rate — scalar-only, since batch shares one memo across trials).
 """
 
