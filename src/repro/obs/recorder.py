@@ -6,8 +6,8 @@ or format strings unconditionally — they hoist the recorder once, check
 the cheap :attr:`Recorder.enabled` / :attr:`Recorder.trace` flags, and
 only then do per-event work.  :class:`NullRecorder` keeps both flags
 ``False`` and makes every method a no-op, so the disabled cost is one
-attribute load per guarded block (asserted ≤2% on the FlowExpect
-benchmark by ``benchmarks/perf_harness.py``).
+attribute load per guarded block (``tests/test_obs.py`` runs every
+registered policy under a disabled recorder whose methods raise).
 
 Counters are plain integer accumulators keyed by dotted names
 (``evict.LRU``, ``flow.solver_iterations``, ``prob_table.hits``); timers

@@ -14,8 +14,8 @@ monotonic clock (:func:`time.perf_counter`) and recorded twice:
 Everything flows through the existing :class:`~repro.obs.recorder.Recorder`
 protocol — no new protocol methods — so a :class:`~repro.obs.NullRecorder`
 run stays free: call sites guard on :attr:`SpanTracker.active` and skip
-the clock reads entirely (the serve perf harness asserts the disabled
-overhead stays ≤ 2%).
+the clock reads entirely (``tests/test_serve_metrics.py`` checks that
+the serve tier's clock reads do not grow with the stream).
 
 Naming convention
 -----------------

@@ -1,6 +1,6 @@
 """Observability layer: exact counters, trace round-trips, zero overhead.
 
-Four contracts from ``docs/OBSERVABILITY.md`` are pinned here:
+Five contracts from ``docs/OBSERVABILITY.md`` are pinned here:
 
 * counters are *exact* — a scripted LRU run whose arrivals/evictions we
   can count by hand produces exactly those counters;
@@ -9,6 +9,9 @@ Four contracts from ``docs/OBSERVABILITY.md`` are pinned here:
 * a :class:`NullRecorder` run is seed-for-seed identical to an
   uninstrumented run (the zero-overhead guarantee is semantic, not just
   temporal);
+* no simulator or policy calls a disabled recorder's ``count``,
+  ``series``, ``event`` or ``timer``, for any registered policy and
+  problem kind;
 * the parallel engine's fork/merge of counter snapshots reproduces the
   scalar engine's counters exactly.
 """
@@ -30,11 +33,20 @@ from repro.obs import (
     summarize_trace_file,
 )
 from repro.core.lifetime import LExp
-from repro.policies import LruPolicy, make_policy
-from repro.policies.heeb_policy import HeebPolicy, WalkJoinHeeb
+from repro.experiments.configs import make_config
+from repro.policies import LruPolicy, available_policies, make_policy
+from repro.policies.adaptive_alpha import AdaptiveAlphaHeebPolicy
+from repro.policies.heeb_policy import (
+    GenericCacheHeeb,
+    GenericJoinHeeb,
+    HeebPolicy,
+    TrendJoinHeeb,
+    WalkJoinHeeb,
+)
 from repro.sim.cache_sim import CacheSimulator
 from repro.sim.engine import ExperimentSpec, ParallelEngine, ScalarEngine
 from repro.sim.join_sim import JoinSimulator
+from repro.sim.multi_join import MultiJoinSimulator
 from repro.sim.runner import (
     generate_paths,
     run_experiment,
@@ -190,6 +202,126 @@ class TestNullRecorderIdentity:
             np.testing.assert_array_equal(a.occupancy, b.occupancy)
             np.testing.assert_array_equal(a.r_occupancy, b.r_occupancy)
         assert nulled.metrics is None
+
+
+class _TrippingRecorder(NullRecorder):
+    """A disabled recorder whose every collecting method raises.
+
+    ``enabled`` and ``trace`` stay ``False``, so a call that reaches
+    one of these methods is instrumentation its call site failed to
+    guard: work a disabled run pays for on every step.
+    """
+
+    def count(self, name, n=1):
+        raise AssertionError(f"unguarded count({name!r})")
+
+    def series(self, name, t, value):
+        raise AssertionError(f"unguarded series({name!r})")
+
+    def event(self, kind, t, /, **fields):
+        raise AssertionError(f"unguarded event({kind!r})")
+
+    def timer(self, name):
+        raise AssertionError(f"unguarded timer({name!r})")
+
+
+#: Policies whose inputs exist only for some problem kinds: FlowExpect
+#: and LIFE model a join's partner stream and window, and LFD replays
+#: one offline reference sequence.  Every other policy runs all kinds.
+_ONLY_KINDS = {"flowexpect": ("join",), "life": ("join",), "lfd": ("cache",)}
+_GUARD_LENGTH = 200
+_GUARD_CACHE = 10
+
+
+def _guard_cases():
+    return [
+        (kind, name)
+        for name in available_policies()
+        for kind in _ONLY_KINDS.get(name, ("join", "cache", "multi_join"))
+    ]
+
+
+def _guard_policy(kind, name, floor, chain, reference):
+    """Build ``name`` for ``kind`` from the FLOOR and CHAIN3 configs."""
+    if name == "heeb":
+        if kind == "join":
+            return floor.make_heeb(_GUARD_CACHE)
+        if kind == "multi_join":
+            return chain.make_heeb(_GUARD_CACHE)
+        return HeebPolicy(GenericCacheHeeb(LExp(float(_GUARD_CACHE))))
+    if name == "adaptive-alpha-heeb":
+        strategy = {
+            "join": TrendJoinHeeb,
+            "cache": GenericCacheHeeb,
+            "multi_join": GenericJoinHeeb,
+        }[kind]
+        return AdaptiveAlphaHeebPolicy(
+            strategy, floor.heeb_alpha_for(_GUARD_CACHE)
+        )
+    if name == "flowexpect":
+        return make_policy(
+            "flowexpect", lookahead=4, r_model=floor.r_model,
+            s_model=floor.s_model,
+        )
+    if name == "lfd":
+        return make_policy("lfd", reference=reference)
+    if name == "rand":
+        return make_policy("rand", seed=1)
+    return make_policy(name)
+
+
+class TestDisabledRecorderIsNeverCalled:
+    """The zero-overhead contract as a count, not a timing budget.
+
+    Under a disabled recorder no simulator or policy may call
+    ``count``, ``series``, ``event`` or ``timer``: each call site checks
+    ``enabled``/``trace`` first, so the disabled cost is a flag load per
+    guarded block, whatever the machine's timing noise.
+    """
+
+    @pytest.mark.parametrize("kind, name", _guard_cases())
+    def test_no_unguarded_call(self, kind, name):
+        floor = make_config("FLOOR")
+        chain = make_config("CHAIN3")
+        reference_model = chain.models["A"]
+        reference = reference_model.sample_path(
+            _GUARD_LENGTH, np.random.default_rng(3)
+        )
+        policy = _guard_policy(kind, name, floor, chain, reference)
+        recorder = _TrippingRecorder()
+        if kind == "join":
+            rng = np.random.default_rng(1)
+            JoinSimulator(
+                _GUARD_CACHE,
+                policy,
+                r_model=floor.r_model,
+                s_model=floor.s_model,
+                window_oracle=floor.window_oracle,
+                recorder=recorder,
+            ).run(
+                floor.r_model.sample_path(_GUARD_LENGTH, rng),
+                floor.s_model.sample_path(_GUARD_LENGTH, rng),
+            )
+        elif kind == "cache":
+            CacheSimulator(
+                _GUARD_CACHE,
+                policy,
+                reference_model=reference_model,
+                recorder=recorder,
+            ).run(reference)
+        else:
+            rng = np.random.default_rng(2)
+            streams = {
+                stream: model.sample_path(_GUARD_LENGTH, rng)
+                for stream, model in chain.models.items()
+            }
+            MultiJoinSimulator(
+                _GUARD_CACHE,
+                policy,
+                chain.queries,
+                models=chain.models,
+                recorder=recorder,
+            ).run(streams)
 
 
 class TestEngineCounterParity:

@@ -13,19 +13,22 @@ Pins the observability acceptance criteria:
   exactly across a live reshard and keep accumulating afterwards;
 * **queue-depth sampling at both ends** — enqueue- and dequeue-side
   samples mean the series sees drain phases, and ``ReplaySummary``
-  reports its p99.
+  reports its p99;
+* **spans off means no clock reads** — under a disabled recorder the
+  request path's ``perf_counter`` reads do not grow with the stream.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.obs import CounterRecorder
+from repro.obs import NULL_RECORDER, CounterRecorder, NullRecorder
 from repro.obs.promtext import parse_prometheus_text, render_prometheus
 from repro.obs.hist import LogHistogram
 from repro.policies import make_policy
@@ -442,6 +445,61 @@ class TestSpanHistogramsOnServer:
         assert server.span_p99_ms("decide") > 0
         assert server.span_p99_ms("submit") > 0
         assert server.span_p99_ms("no_such_span") is None
+
+
+class TestDisabledSpansReadNoClock:
+    """With spans off the request path reads no clock at all.
+
+    The disabled-span contract as a count, not a timing budget: under
+    the shared ``NULL_RECORDER`` and under a fresh ``NullRecorder`` the
+    number of ``perf_counter`` reads must not depend on how many ticks
+    are served.  The queue outsizes the stream so backpressure, which
+    times its waits whatever the recorder, never engages.
+    """
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize(
+        "make_recorder",
+        [lambda: NULL_RECORDER, NullRecorder],
+        ids=["NULL_RECORDER", "NullRecorder"],
+    )
+    def test_clock_reads_independent_of_stream_length(
+        self, monkeypatch, n_shards, make_recorder
+    ):
+        reads = 0
+        clock = time.perf_counter
+
+        def counting_clock():
+            nonlocal reads
+            reads += 1
+            return clock()
+
+        monkeypatch.setattr("repro.serve.server.perf_counter", counting_clock)
+        monkeypatch.setattr("repro.obs.spans.time.perf_counter", counting_clock)
+
+        def reads_for(length):
+            nonlocal reads
+
+            async def go():
+                server = StreamServer(
+                    join_spec(),
+                    lambda: make_policy("lru"),
+                    n_shards=n_shards,
+                    queue_maxsize=2 * length,
+                    recorder=make_recorder(),
+                )
+                await server.start()
+                for t in range(length):
+                    await server.submit(t, t % 7, (t + 3) % 7)
+                await server.drain()
+                await server.stop()
+                assert server.backpressure_waits == 0
+
+            reads = 0
+            run(go())
+            return reads
+
+        assert reads_for(100) == reads_for(400)
 
 
 class TestQueueDepthSampling:

@@ -15,12 +15,15 @@ Pins the acceptance contract of :mod:`repro.sketch`:
   negotiation must fall back to the scalar loop;
 * state plumbing — fresh simulator states reset stale admission
   filters, and ``sketch_state``/``merge_sketch_state`` union donor
-  state across a reshard.
+  state across a reshard;
+* bounded memory — a 10^6-slot sketch cache stays under a
+  ``tracemalloc`` cap.
 """
 
 from __future__ import annotations
 
 import asyncio
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,8 +91,8 @@ class TestCountMinSketch:
             )
 
     def test_hashes_are_deterministic(self):
-        # Process-stable hashing is what makes reshard merges and
-        # bench fingerprints reproducible: no PYTHONHASHSEED leakage.
+        # Process-stable hashing is what makes reshard merges
+        # reproducible: no PYTHONHASHSEED leakage.
         assert value_hashes(12345) == value_hashes(12345)
         h1, h2 = value_hashes("abc")
         assert h2 % 2 == 1
@@ -314,6 +317,44 @@ class TestAdmissionIntegration:
         make_cache_state(4, policy)
         assert af.cutoff_ema is None
         assert af.admits == 0 and af.rejects == 0
+
+
+def _zipf_head_unique_tail(
+    length: int,
+    head_values: int = 1_000,
+    tail_fraction: float = 0.15,
+    seed: int = 7,
+) -> list[int]:
+    """Skewed reference stream over a huge value domain.
+
+    A Zipf-popular head of ``head_values`` hot keys carries most
+    references; a tail of essentially unique cold keys, drawn from a
+    disjoint 10^9-sized domain, supplies the one-hit wonders that blow
+    up exact per-value state.
+    """
+    rng = np.random.default_rng(seed)
+    is_tail = rng.random(length) < tail_fraction
+    head = rng.zipf(1.5, size=length) % head_values
+    tail = rng.integers(head_values, 10**9, size=length)
+    return [int(v) for v in np.where(is_tail, tail, head)]
+
+
+class TestBoundedMemory:
+    def test_sketch_front_end_peak_at_a_million_slots(self):
+        """Sketch counts plus bloom admission at 10^6 slots peak well
+        under 16 MB (about 0.5 MB on a 20k-reference stream), so any
+        state sized by the slot count rather than by use trips the cap."""
+        reference = _zipf_head_unique_tail(20_000)
+        policy = LfuPolicy(counts="sketch").with_admission(AdmissionFilter())
+        tracemalloc.start()
+        try:
+            result = CacheSimulator(10**6, policy).run(reference)
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.hits + result.misses == len(reference)
+        assert policy.admission.rejects > 0
+        assert peak_bytes / 2**20 <= 16.0
 
 
 class TestBatchGating:

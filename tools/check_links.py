@@ -4,8 +4,9 @@
 Scans the given markdown files for inline links and reference
 definitions and verifies that every *local* target exists relative to
 the file containing it (anchors are stripped; ``http(s)``/``mailto``
-URLs are not fetched — CI must not depend on the network).  Bare code
-spans and autolinks are ignored.  Usage::
+URLs are not fetched — CI must not depend on the network).  Links
+inside fenced code blocks (```` ``` ```` or ``~~~``) and inline code
+spans are ignored, and so are autolinks.  Usage::
 
     python tools/check_links.py README.md docs/*.md
 
@@ -26,15 +27,22 @@ __all__ = ["broken_links", "main"]
 _INLINE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 #: Reference definitions ``[label]: target``.
 _REFDEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
-#: Fenced code blocks, stripped before link extraction.
-_FENCE = re.compile(r"```.*?```", re.DOTALL)
+#: Fenced code blocks (backtick or tilde fences), stripped first.
+_FENCE = re.compile(
+    r"^[ \t]*(`{3,}|~{3,}).*?^[ \t]*\1", re.DOTALL | re.MULTILINE
+)
+#: Inline code spans: a backtick run closed by a run of the same length,
+#: within one paragraph.  Stripped after the fences.
+_CODE_SPAN = re.compile(
+    r"(?<!`)(`+)(?!`)(?:(?!\n[ \t]*\n).)+?(?<!`)\1(?!`)", re.DOTALL
+)
 
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
 
 
 def broken_links(path: Path) -> list[str]:
     """Local link targets in ``path`` that do not resolve to a file."""
-    text = _FENCE.sub("", path.read_text(encoding="utf-8"))
+    text = _CODE_SPAN.sub("", _FENCE.sub("", path.read_text(encoding="utf-8")))
     targets = _INLINE.findall(text) + _REFDEF.findall(text)
     bad = []
     for target in targets:
