@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from ..core.lifetime import LExp, alpha_for_mean_lifetime
 from ..core.tuples import StreamTuple
-from .base import PolicyContext, ReplacementPolicy
+from .base import PolicyContext, ReplacementPolicy, rank_by_score
 from .heeb_policy import HeebStrategy
 
 __all__ = ["AdaptiveAlphaHeebPolicy"]
@@ -114,8 +114,5 @@ class AdaptiveAlphaHeebPolicy(ReplacementPolicy):
         if n_evict <= 0:
             return []
         self._maybe_recalibrate(ctx)
-        ranked = sorted(
-            candidates,
-            key=lambda tup: (self._strategy.h_value(tup, ctx), tup.uid),
-        )
-        return ranked[:n_evict]
+        scores = self._strategy.h_values(candidates, ctx)
+        return [tup for _, _, tup in rank_by_score(candidates, scores, n_evict)]

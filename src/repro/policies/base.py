@@ -14,6 +14,7 @@ bookkeeping such as LRU's does not require scanning histories.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Protocol, Sequence
 
@@ -29,8 +30,28 @@ __all__ = [
     "WindowOracle",
     "ReplacementPolicy",
     "ScoredPolicy",
+    "rank_by_score",
     "validate_victims",
 ]
+
+
+def rank_by_score(
+    candidates: Sequence[StreamTuple], scores: Sequence[float], n: int
+) -> list[tuple[float, int, StreamTuple]]:
+    """The ``n`` lowest-scoring candidates as ``(score, uid, tuple)``.
+
+    ``scores[i]`` belongs to ``candidates[i]`` and ``n >= 1``.  The
+    result is the first ``n`` entries of the full ranking by ``(score,
+    uid)``: lowest score first, ties broken by uid (oldest first) so runs
+    are reproducible.  Only candidates scoring at most the ``n``-th
+    lowest score are decorated and sorted, which is what keeps a large
+    cache's selection cheap; scores must therefore be comparable (no
+    NaN).  Uids are unique, so the tuples themselves are never compared.
+    """
+    cut = sorted(scores)[n - 1] if n < len(scores) else math.inf
+    return sorted(
+        [(s, tup.uid, tup) for s, tup in zip(scores, candidates) if s <= cut]
+    )[:n]
 
 
 def validate_victims(
@@ -293,8 +314,10 @@ class ScoredPolicy(ReplacementPolicy):
     """A policy that evicts the ``n`` lowest-scoring candidates.
 
     Subclasses implement :meth:`score`; higher scores mean more worth
-    keeping.  Ties break deterministically by tuple uid (oldest first) so
-    runs are reproducible.
+    keeping.  A selection scores all candidates in one :meth:`scores`
+    call and ranks them with :func:`rank_by_score`: ties break
+    deterministically by tuple uid (oldest first) so runs are
+    reproducible.
 
     An optional :class:`~repro.sketch.AdmissionFilter` can be attached
     with :meth:`with_admission`; new arrivals whose score cannot clear
@@ -334,6 +357,19 @@ class ScoredPolicy(ReplacementPolicy):
     def score(self, tup: StreamTuple, ctx: PolicyContext) -> float:
         """Desirability of keeping ``tup`` (higher is better)."""
 
+    def scores(
+        self, candidates: Sequence[StreamTuple], ctx: PolicyContext
+    ) -> list[float]:
+        """:meth:`score` of every candidate, in candidate order.
+
+        Every ranking goes through this one call, so a policy that can
+        score a whole block at once (a vectorized table or surface
+        lookup) overrides it; the result must equal the per-tuple
+        :meth:`score` values exactly.
+        """
+        score = self.score
+        return [score(tup, ctx) for tup in candidates]
+
     def select_victims(
         self,
         candidates: Sequence[StreamTuple],
@@ -344,37 +380,33 @@ class ScoredPolicy(ReplacementPolicy):
             return self._select_with_admission(candidates, n_evict, ctx)
         if n_evict <= 0:
             return []
+        scores = self.scores(candidates, ctx)
         rec = ctx.recorder
+        if rec.enabled and rec.trace:
+            # Snapshot every candidate's score (the per-candidate ECB/HEEB
+            # values for the model-aware policies) before ranking, so a
+            # trace can answer "why was X evicted at t?".
+            rec.event(
+                "scores",
+                ctx.time,
+                policy=self.name,
+                candidates=[
+                    {
+                        "uid": tup.uid,
+                        "side": tup.side,
+                        "value": tup.value,
+                        "score": score,
+                    }
+                    for tup, score in zip(candidates, scores)
+                ],
+            )
+        ranked = rank_by_score(candidates, scores, n_evict)
         if rec.enabled:
-            scored = [(self.score(tup, ctx), tup.uid, tup) for tup in candidates]
-            if rec.trace:
-                # Snapshot every candidate's score (the per-candidate
-                # ECB/HEEB values for the model-aware policies) before
-                # ranking, so a trace can answer "why was X evicted at t?".
-                rec.event(
-                    "scores",
-                    ctx.time,
-                    policy=self.name,
-                    candidates=[
-                        {
-                            "uid": tup.uid,
-                            "side": tup.side,
-                            "value": tup.value,
-                            "score": score,
-                        }
-                        for score, _, tup in scored
-                    ],
-                )
-            ranked = sorted(scored)
             # Eviction threshold over time: the best score that still got
             # evicted.  The batch engine mirrors this series for every
             # scored adapter (trace events stay scalar-only).
-            rec.series("scores.cutoff", ctx.time, ranked[n_evict - 1][0])
-            return [tup for _, _, tup in ranked[:n_evict]]
-        ranked = sorted(
-            candidates, key=lambda tup: (self.score(tup, ctx), tup.uid)
-        )
-        return ranked[:n_evict]
+            rec.series("scores.cutoff", ctx.time, ranked[-1][0])
+        return [tup for _, _, tup in ranked]
 
     def _select_with_admission(
         self,
@@ -395,35 +427,28 @@ class ScoredPolicy(ReplacementPolicy):
         assert admission is not None
         t = ctx.time
         rec = ctx.recorder
-        new_scores: dict[int, float] = {}
+        arrivals = [tup for tup in candidates if tup.arrival == t]
+        survivors: list[StreamTuple] = []
+        survivor_scores: list[float] = []
         rejected: list[StreamTuple] = []
-        for tup in candidates:
-            if tup.arrival == t:
-                score = self.score(tup, ctx)
-                new_scores[tup.uid] = score
-                if not admission.admit(tup.value, score):
-                    rejected.append(tup)
+        for tup, score in zip(arrivals, self.scores(arrivals, ctx)):
+            if admission.admit(tup.value, score):
+                survivors.append(tup)
+                survivor_scores.append(score)
+            else:
+                rejected.append(tup)
         victims = list(rejected)
         n_more = n_evict - len(rejected)
         if n_more > 0:
-            rejected_uids = {tup.uid for tup in rejected}
-            scored = [
-                (
-                    new_scores[tup.uid]
-                    if tup.uid in new_scores
-                    else self.score(tup, ctx),
-                    tup.uid,
-                    tup,
-                )
-                for tup in candidates
-                if tup.uid not in rejected_uids
-            ]
-            ranked = sorted(scored)
-            cutoff = ranked[n_more - 1][0]
+            cached = [tup for tup in candidates if tup.arrival != t]
+            survivors += cached
+            survivor_scores += self.scores(cached, ctx)
+            ranked = rank_by_score(survivors, survivor_scores, n_more)
+            cutoff = ranked[-1][0]
             admission.update_cutoff(cutoff)
             if rec.enabled:
                 rec.series("scores.cutoff", t, cutoff)
-            victims.extend(tup for _, _, tup in ranked[:n_more])
+            victims.extend(tup for _, _, tup in ranked)
         if rec.enabled:
             rec.series("admission.rejects.cum", t, admission.rejects)
             rec.series("sketch.fp_rate", t, admission.fp_rate())

@@ -9,6 +9,12 @@ surfaces for AR(1) (Theorem 5).  :class:`HeebPolicy` delegates to a
 strategies share one ``L`` for every candidate, which trivially satisfies
 property 4 of Section 4.3.
 
+An eviction scores its whole candidate block in one
+:meth:`HeebStrategy.h_values` call.  :class:`AR1CacheHeeb` answers it
+with one :meth:`H2Surface.evaluate_many` call, the routine the batch
+adapter uses, so a scalar REAL-caching eviction costs one spline call
+rather than one per candidate and both tiers read the same floats.
+
 The strategies also own the score memo of Section 4.4.  Windowed
 joining HEEB (Section 7) clips each tuple's survival at its own window
 expiry, so no per-value table applies; :meth:`TrendJoinHeeb.windowed_h`
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import abc
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +66,18 @@ class HeebStrategy(abc.ABC):
     @abc.abstractmethod
     def h_value(self, tup: StreamTuple, ctx: PolicyContext) -> float:
         """``H`` for one candidate at the current time ``ctx.time``."""
+
+    def h_values(
+        self, candidates: Sequence[StreamTuple], ctx: PolicyContext
+    ) -> list[float]:
+        """:meth:`h_value` of every candidate, in candidate order.
+
+        A strategy that can score the whole block through one
+        vectorized lookup overrides this; each element must equal the
+        per-tuple :meth:`h_value` bit for bit.
+        """
+        h_value = self.h_value
+        return [h_value(tup, ctx) for tup in candidates]
 
 
 class GenericJoinHeeb(HeebStrategy):
@@ -353,6 +372,18 @@ class AR1CacheHeeb(HeebStrategy):
         latent_now = self.model.to_latent(int(history.last_value))
         return self.surface(float(tup.value), latent_now)
 
+    def h_values(
+        self, candidates: Sequence[StreamTuple], ctx: PolicyContext
+    ) -> list[float]:
+        history = ctx.latest_history("R")
+        if history is None:
+            return [0.0] * len(candidates)
+        latent_now = self.model.to_latent(int(history.last_value))
+        values = np.fromiter(
+            (tup.value for tup in candidates), np.float64, len(candidates)
+        )
+        return self.surface.evaluate_many(values, latent_now).tolist()
+
 
 class AR1JoinHeeb(HeebStrategy):
     """Precomputed ``h2`` surface for AR(1) *joining* (Theorem 5(1)).
@@ -427,3 +458,8 @@ class HeebPolicy(ScoredPolicy):
 
     def score(self, tup: StreamTuple, ctx: PolicyContext) -> float:
         return self.strategy.h_value(tup, ctx)
+
+    def scores(
+        self, candidates: Sequence[StreamTuple], ctx: PolicyContext
+    ) -> list[float]:
+        return self.strategy.h_values(candidates, ctx)

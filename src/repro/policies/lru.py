@@ -12,6 +12,7 @@ reference history per cached value, no approximation.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from typing import Sequence
 
 from ..core.tuples import StreamTuple
 from .base import PolicyContext, ScoredPolicy
@@ -23,23 +24,32 @@ class LruPolicy(ScoredPolicy):
     name = "LRU"
 
     def __init__(self) -> None:
-        self._last_use: dict[int, int] = {}
+        # Last-use times are kept as floats, the score type, so block
+        # scoring is a bare dict lookup per candidate.
+        self._last_use: dict[int, float] = {}
 
     def reset(self, ctx: PolicyContext) -> None:
         self._last_use = {}
 
     def on_admit(self, tup: StreamTuple, t: int) -> None:
-        self._last_use[tup.uid] = t
+        self._last_use[tup.uid] = float(t)
 
     def on_reference(self, tup: StreamTuple, t: int) -> None:
-        self._last_use[tup.uid] = t
+        self._last_use[tup.uid] = float(t)
 
     def on_evict(self, tup: StreamTuple, t: int) -> None:
         self._last_use.pop(tup.uid, None)
 
     def score(self, tup: StreamTuple, ctx: PolicyContext) -> float:
         # New arrivals (not yet admitted) count as just-referenced.
-        return float(self._last_use.get(tup.uid, ctx.time))
+        return self._last_use.get(tup.uid, float(ctx.time))
+
+    def scores(
+        self, candidates: Sequence[StreamTuple], ctx: PolicyContext
+    ) -> list[float]:
+        get = self._last_use.get
+        now = float(ctx.time)
+        return [get(tup.uid, now) for tup in candidates]
 
 
 class LrukPolicy(ScoredPolicy):

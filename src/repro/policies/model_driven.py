@@ -25,7 +25,7 @@ from ..streams.ar1 import AR1Stream
 from ..streams.base import StreamModel, Value
 from ..streams.linear_trend import LinearTrendStream
 from ..streams.random_walk import RandomWalkStream
-from .base import PolicyContext, ReplacementPolicy
+from .base import PolicyContext, ReplacementPolicy, rank_by_score
 from .heeb_policy import (
     GenericJoinHeeb,
     HeebStrategy,
@@ -52,7 +52,7 @@ def _ar1_join_strategy(partner: AR1Stream, estimator, horizon: int):
     return AR1JoinHeeb(partner, surface)
 
 
-class _PerSideStrategy:
+class _PerSideStrategy(HeebStrategy):
     """Dispatches H computation to a per-stream-side strategy."""
 
     def __init__(self, by_side: dict):
@@ -196,8 +196,5 @@ class ModelDrivenHeebPolicy(ReplacementPolicy):
         if self._strategy is None:
             return self._cold_start.select_victims(candidates, n_evict, ctx)
         shadow = replace(ctx, r_model=self._r_model, s_model=self._s_model)
-        ranked = sorted(
-            candidates,
-            key=lambda tup: (self._strategy.h_value(tup, shadow), tup.uid),
-        )
-        return ranked[:n_evict]
+        scores = self._strategy.h_values(candidates, shadow)
+        return [tup for _, _, tup in rank_by_score(candidates, scores, n_evict)]

@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from repro.core.lifetime import LExp, LFixed
 from repro.core.tuples import StreamTuple
-from repro.policies.base import PolicyContext
+from repro.obs import CounterRecorder
+from repro.policies.base import PolicyContext, ScoredPolicy
 from repro.policies.heeb_policy import (
     AR1CacheHeeb,
+    AR1JoinHeeb,
+    BandJoinHeeb,
     GenericCacheHeeb,
     GenericJoinHeeb,
     HeebPolicy,
     TrendJoinHeeb,
+    WalkCacheHeeb,
     WalkJoinHeeb,
 )
 from repro.sim.cache_sim import CacheSimulator
@@ -272,3 +276,271 @@ class TestHeebPolicyEndToEnd:
         f = CacheSimulator(2, lfu).run(trace)
         # Identical asymptotic behavior; allow small transient differences.
         assert abs(h.hits - f.hits) <= 0.05 * f.hits
+
+
+# ----------------------------------------------------------------------
+# Block scoring: h_values / scores against the per-tuple reference
+# ----------------------------------------------------------------------
+_WALK = RandomWalkStream(discretized_normal(1.0))
+_AR1 = AR1Stream(phi0=2.0, phi1=0.6, sigma=2.0, bucket=1.0)
+_STATIONARY = StationaryStream(bounded_uniform(4))
+_TREND_R = LinearTrendStream(bounded_normal(5, 2.0), speed=1.0, lag=1)
+_TREND_S = LinearTrendStream(bounded_uniform(4), speed=1.0)
+_T0 = 12
+
+
+def _ar1_grids():
+    center = _AR1.stationary_mean
+    v_grid = np.linspace(center - 6, center + 6, 5).round().astype(int)
+    return v_grid, np.linspace(center - 6, center + 6, 5)
+
+
+@pytest.fixture(scope="module")
+def ar1_surfaces():
+    from repro.core.precompute import ar1_h2_cache, ar1_h2_join
+
+    return {
+        "cache": ar1_h2_cache(_AR1, LExp(ALPHA), *_ar1_grids(), exact_steps=30),
+        "join": ar1_h2_join(_AR1, LExp(ALPHA), *_ar1_grids(), horizon=40),
+    }
+
+
+def _walk_cache_table():
+    from repro.core.precompute import random_walk_h1_cache
+
+    return random_walk_h1_cache(_WALK, LExp(ALPHA), horizon=40, max_offset=8)
+
+
+# name -> (kind, strategy builder taking the AR(1) surfaces, r model,
+# s model); candidate values are drawn near the partner's latest value.
+_BLOCK_CASES = {
+    "GenericJoinHeeb": (
+        "join", lambda s: GenericJoinHeeb(LExp(ALPHA), horizon=30),
+        _STATIONARY, _STATIONARY,
+    ),
+    "GenericCacheHeeb": (
+        "cache", lambda s: GenericCacheHeeb(LExp(ALPHA), horizon=30),
+        _STATIONARY, None,
+    ),
+    "TrendJoinHeeb": (
+        "join", lambda s: TrendJoinHeeb(LExp(ALPHA)), _TREND_R, _TREND_S,
+    ),
+    "WalkJoinHeeb": (
+        "join", lambda s: WalkJoinHeeb(LExp(ALPHA), horizon=40), _WALK, _WALK,
+    ),
+    "WalkCacheHeeb": (
+        "cache", lambda s: WalkCacheHeeb(_walk_cache_table()), _WALK, None,
+    ),
+    "AR1CacheHeeb": (
+        "cache", lambda s: AR1CacheHeeb(_AR1, s["cache"]), _AR1, None,
+    ),
+    "AR1JoinHeeb": (
+        "join", lambda s: AR1JoinHeeb(_AR1, s["join"]), _AR1, _AR1,
+    ),
+    "BandJoinHeeb": (
+        "join", lambda s: BandJoinHeeb(1, LExp(ALPHA), horizon=30),
+        _STATIONARY, _STATIONARY,
+    ),
+}
+
+#: Strategies that score against the latest observation and so have no
+#: score (0.0) before one exists.
+_ANCHORED = {"WalkJoinHeeb", "WalkCacheHeeb", "AR1CacheHeeb", "AR1JoinHeeb"}
+
+
+def _block_ctx(name, with_history):
+    kind, _, r_model, s_model = _BLOCK_CASES[name]
+    if with_history:
+        r_hist = [(t % 5) + 3 for t in range(_T0 + 1)]
+        s_hist = [(t % 3) + 4 for t in range(_T0 + 1)]
+        if isinstance(r_model, LinearTrendStream):
+            r_hist, s_hist = list(range(_T0 + 1)), list(range(_T0 + 1))
+    else:
+        r_hist = s_hist = [None] * (_T0 + 1)
+    return PolicyContext(
+        kind=kind,
+        time=_T0,
+        cache_size=5,
+        r_history=r_hist,
+        s_history=s_hist if kind == "join" else [],
+        r_model=r_model,
+        s_model=s_model,
+    )
+
+
+def _block_candidates(kind, values):
+    """Both sides (joins), new arrivals and older tuples, uids shuffled."""
+    sides = ("R", "S") if kind == "join" else ("S",)
+    pairs = [(side, int(v)) for v in values for side in sides]
+    uids = np.random.default_rng(5).permutation(len(pairs))
+    return [
+        StreamTuple(int(uid), side, v, _T0 - (i % 4))
+        for i, ((side, v), uid) in enumerate(zip(pairs, uids))
+    ]
+
+
+def _build(name, surfaces):
+    return _BLOCK_CASES[name][1](surfaces)
+
+
+class TestBlockScoring:
+    def test_every_strategy_has_a_case(self):
+        import inspect
+
+        from repro.policies import heeb_policy
+
+        strategies = {
+            name
+            for name in heeb_policy.__all__
+            if inspect.isclass(obj := getattr(heeb_policy, name))
+            and issubclass(obj, heeb_policy.HeebStrategy)
+            and not inspect.isabstract(obj)
+        }
+        assert strategies == set(_BLOCK_CASES)
+
+    @pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
+    @pytest.mark.parametrize("with_history", [True, False])
+    def test_block_equals_per_tuple(self, name, with_history, ar1_surfaces):
+        strategy = _build(name, ar1_surfaces)
+        ctx = _block_ctx(name, with_history)
+        strategy.reset(ctx)
+        center = _T0 - 4 if name == "TrendJoinHeeb" else 4
+        cands = _block_candidates(ctx.kind, range(center - 5, center + 6))
+        block = strategy.h_values(cands, ctx)
+        assert block == [strategy.h_value(tup, ctx) for tup in cands]
+        assert all(type(h) is float for h in block)
+        if not with_history and name in _ANCHORED:
+            assert block == [0.0] * len(cands)
+        assert strategy.h_values([], ctx) == []
+
+    @pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
+    def test_out_of_domain_values_match_per_tuple(self, name, ar1_surfaces):
+        strategy = _build(name, ar1_surfaces)
+        ctx = _block_ctx(name, True)
+        strategy.reset(ctx)
+        cands = _block_candidates(ctx.kind, [-500, 4, 500])
+        block = strategy.h_values(cands, ctx)
+        assert block == [strategy.h_value(tup, ctx) for tup in cands]
+
+    def test_surface_clamps_out_of_domain_values(self, ar1_surfaces):
+        strategy = _build("AR1CacheHeeb", ar1_surfaces)
+        ctx = _block_ctx("AR1CacheHeeb", True)
+        v_grid = strategy.surface.v_grid
+        far = _block_candidates(ctx.kind, [-500, 500])
+        edge = _block_candidates(ctx.kind, [v_grid[0], v_grid[-1]])
+        assert strategy.h_values(far, ctx) == strategy.h_values(edge, ctx)
+
+
+# ----------------------------------------------------------------------
+# REAL caching (Section 6.5) through the block-scoring path
+# ----------------------------------------------------------------------
+REAL_MEMORY = 20
+
+
+@pytest.fixture(scope="module")
+def real_setup():
+    """A seeded Melbourne-like reference trace, its fitted AR(1) and the
+    5×5 caching ``h2`` surface over the observed range."""
+    from repro.analysis.fitting import fit_ar1
+    from repro.core.precompute import ar1_h2_cache
+    from repro.streams.melbourne import melbourne_like_temperatures
+
+    temps = melbourne_like_temperatures(400, np.random.default_rng(3))
+    fit = fit_ar1(temps)
+    model = AR1Stream(fit.phi0, fit.phi1, fit.sigma, bucket=0.1)
+    refs = [model.to_bucket(x) for x in temps]
+    lo, hi = min(refs), max(refs)
+    surface = ar1_h2_cache(
+        model,
+        LExp(float(REAL_MEMORY)),
+        np.linspace(lo, hi, 5).round().astype(int),
+        np.linspace(lo * model.bucket, hi * model.bucket, 5),
+        exact_steps=30,
+    )
+    return model, surface, refs
+
+
+class _LoggedHeeb(HeebPolicy):
+    """HEEB that logs every selection: ``(t, n_evict, candidate count,
+    victim uids)``."""
+
+    def __init__(self, strategy):
+        super().__init__(strategy)
+        self.log = []
+
+    def select_victims(self, candidates, n_evict, ctx):
+        victims = super().select_victims(candidates, n_evict, ctx)
+        self.log.append(
+            (ctx.time, n_evict, len(candidates), [v.uid for v in victims])
+        )
+        return victims
+
+
+class _PerTupleHeeb(_LoggedHeeb):
+    """The same policy forced onto the per-tuple ``score`` loop."""
+
+    scores = ScoredPolicy.scores
+
+
+class _SeriesLog(CounterRecorder):
+    """A counter recorder that also keeps every series point verbatim."""
+
+    def __init__(self):
+        super().__init__()
+        self.points = []
+
+    def series(self, name, t, value):
+        self.points.append((name, t, value))
+        super().series(name, t, value)
+
+
+class TestRealCachingBlockScores:
+    def _run(self, policy_cls, real_setup, admission=None):
+        model, surface, refs = real_setup
+        policy = policy_cls(AR1CacheHeeb(model, surface))
+        if admission is not None:
+            policy.with_admission(admission)
+        rec = _SeriesLog()
+        result = CacheSimulator(
+            REAL_MEMORY, policy, reference_model=model, recorder=rec
+        ).run(refs)
+        return policy, rec, result
+
+    @pytest.mark.parametrize("with_admission", [False, True])
+    def test_block_path_matches_per_tuple_loop(self, real_setup, with_admission):
+        """Same victims, rejects and cutoff series as the per-tuple loop."""
+        from repro.sketch import AdmissionFilter
+
+        runs = []
+        for policy_cls in (_LoggedHeeb, _PerTupleHeeb):
+            admission = AdmissionFilter() if with_admission else None
+            policy, rec, result = self._run(policy_cls, real_setup, admission)
+            rejects = admission.rejects if admission is not None else None
+            runs.append((policy.log, rejects, rec.points, result.hits))
+        assert runs[0] == runs[1]
+        log, rejects, points, _ = runs[0]
+        assert any(n_evict > 0 for _, n_evict, _, _ in log)
+        assert any(name == "scores.cutoff" for name, _, _ in points)
+        if with_admission:
+            assert rejects > 0
+
+    def test_one_spline_call_per_evicting_selection(self, real_setup, monkeypatch):
+        """The block path's cost contract as a count, not a timing floor:
+        one spline evaluation per eviction decision, however many
+        candidates it ranks."""
+        model, surface, refs = real_setup
+        calls = 0
+        ev = surface._spline.ev
+
+        def counting_ev(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return ev(*args, **kwargs)
+
+        monkeypatch.setattr(surface._spline, "ev", counting_ev)
+        policy = _LoggedHeeb(AR1CacheHeeb(model, surface))
+        CacheSimulator(REAL_MEMORY, policy, reference_model=model).run(refs)
+        evicting = [entry for entry in policy.log if entry[1] > 0]
+        assert len(evicting) > 0
+        assert calls == len(evicting)
+        assert sum(n_cands for _, _, n_cands, _ in evicting) > REAL_MEMORY * calls

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.tuples import StreamTuple
 from repro.policies import (
@@ -17,7 +21,7 @@ from repro.policies import (
     SmallestValueFirstPolicy,
     TrendWindowOracle,
 )
-from repro.policies.base import PolicyContext
+from repro.policies.base import PolicyContext, rank_by_score
 from repro.sim.cache_sim import CacheSimulator
 from repro.sim.join_sim import JoinSimulator
 from repro.streams import LinearTrendStream, bounded_uniform
@@ -32,6 +36,42 @@ def make_ctx(kind="join", time=0, cache_size=5, r_hist=None, s_hist=None, oracle
         s_history=list(s_hist or []),
         window_oracle=oracle,
     )
+
+
+class TestRankByScore:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_prefix_of_full_sort(self, data):
+        """Ties (including infinities) break by uid, whatever the
+        candidate order, exactly as a full ``(score, uid)`` sort."""
+        scores = data.draw(
+            st.lists(
+                st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 2.0, math.inf]),
+                min_size=1,
+                max_size=20,
+            )
+        )
+        uids = data.draw(st.permutations(range(len(scores))))
+        n = data.draw(st.integers(min_value=1, max_value=len(scores) + 1))
+        cands = [StreamTuple(uid, "R", 0, 0) for uid in uids]
+        expected = sorted(zip(scores, uids, cands))[:n]
+        assert rank_by_score(cands, scores, n) == expected
+
+
+class TestLru:
+    def test_block_scores_equal_per_tuple(self):
+        policy = LruPolicy()
+        cached = [StreamTuple(uid, "R", uid % 3, uid) for uid in range(6)]
+        for tup in cached:
+            policy.on_admit(tup, tup.arrival)
+        policy.on_reference(cached[1], 7)
+        policy.on_evict(cached[4], 8)
+        ctx = make_ctx(time=9)
+        cands = cached + [StreamTuple(6, "S", 1, 9)]
+        scores = policy.scores(cands, ctx)
+        assert scores == [policy.score(tup, ctx) for tup in cands]
+        assert scores == [0.0, 7.0, 2.0, 3.0, 9.0, 5.0, 9.0]
+        assert all(type(score) is float for score in scores)
 
 
 class TestRand:
