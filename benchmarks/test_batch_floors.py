@@ -9,11 +9,14 @@ reference, then times the two interleaved three times and checks the
 best ratio against a floor.
 
 The floors sit at about a third of the measured speedup (LRU-k on
-TOWER ≈5×, trie ≈8–10×, CHAIN3 HEEB ≈130× at 16 trials × 200 ticks,
-FlowExpect fast path ≈6–8×).  Runner noise cannot trip them, but a lost
-vectorization or a fast path that quietly falls back to the reference
-(speedup ≈1×) always does.  The sizes keep the whole file under a
-minute.  Run with::
+TOWER ≈5×, trie ≈8–10×, CHAIN3 HEEB ≈130× at 16 trials × 200 ticks).
+Runner noise cannot trip them, but a lost vectorization or a fast path
+that quietly falls back to the reference (speedup ≈1×) always does.
+FlowExpect's fast path measures ≈30× and keeps its 2× floor, which
+still catches a lost fast path; a silent switch to the unit-flow
+fallback (≈8× on its own) is caught by the ``flow.fallback_solves``
+count in ``tests/test_flowexpect_fastpath.py`` instead.  The sizes keep
+the whole file under a minute.  Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_batch_floors.py -q
 """

@@ -7,9 +7,14 @@ from .brute_force import (
 )
 from .fastpath import (
     FlowExpectFastPath,
+    LeaveSlots,
     LookaheadTemplate,
+    candidate_benefits,
     flowexpect_decide_fast,
+    newborn_benefits,
+    solve_leave_slots,
     solve_unit_flow,
+    unit_flow_costs,
 )
 from .flowexpect import FlowExpectDecision, flowexpect_decide
 from .graph import LookaheadGraph, build_lookahead_graph, expected_match_prob
@@ -21,6 +26,7 @@ __all__ = [
     "COST_SCALE",
     "FlowExpectDecision",
     "FlowExpectFastPath",
+    "LeaveSlots",
     "LookaheadGraph",
     "LookaheadTemplate",
     "OfflineSolution",
@@ -29,11 +35,15 @@ __all__ = [
     "brute_force_offline_benefit",
     "brute_force_predetermined_expectation",
     "build_lookahead_graph",
+    "candidate_benefits",
     "expected_match_prob",
     "flowexpect_decide",
     "flowexpect_decide_fast",
     "match_times",
+    "newborn_benefits",
+    "solve_leave_slots",
     "solve_min_cost_flow",
     "solve_opt_offline",
     "solve_unit_flow",
+    "unit_flow_costs",
 ]

@@ -1,4 +1,4 @@
-"""FlowExpect fast path: template-reused graphs, direct min-cost flow.
+"""FlowExpect fast path: per-shape layouts, one assignment per step.
 
 The reference pipeline (:func:`~repro.flow.flowexpect.flowexpect_decide`)
 rebuilds an O(l²)-node :class:`networkx.DiGraph` at every simulation
@@ -6,52 +6,78 @@ step, converts it wholesale to a scaled-integer copy, and hands it to
 the generic ``network_simplex``.  Profiling shows all three stages are
 avoidable:
 
-* **Template reuse** — two FlowExpect steps with the same candidate
+* **Shape reuse** — two FlowExpect steps with the same candidate
   count and look-ahead produce graphs that are *isomorphic*: only the
-  time origin and the first-slice candidates differ.
-  :class:`LookaheadTemplate` builds the arc skeleton (tails, heads,
-  residual adjacency, topological order) once per ``(n_candidates,
-  lookahead)`` pair; each decision merely rebinds arc costs.
-* **Probability memoization** — arc costs come from a
+  time origin and the first-slice candidates differ.  The problem
+  layout is built once per shape and each decision merely rebinds
+  benefits.
+* **Probability memoization** — benefits come from a
   :class:`~repro.flow.prob_table.ProbTable`, so each distinct
   probability is computed once per decision (and once per *run* for
   independent models) instead of once per arc.
-* **Direct solver** — the layered look-ahead DAG has unit capacities
-  and integral (scaled) costs, so ``amount`` rounds of successive
-  shortest paths — one plain array-based Dijkstra with Johnson
-  potentials per unit — replace the generic simplex.
+* **Direct solver** — the look-ahead flow has a special shape: one
+  unit per cache slot, entities that never return once they leave, and
+  exactly two newborns per slice after the first.  So every slice
+  ``s ≥ 1`` sees exactly two entities leave (an admitted newborn
+  evicts one, a rejected newborn leaves by itself) and slice 0 sees
+  ``n − amount`` candidates leave.  A schedule is therefore an
+  assignment of those *leave slots* to distinct entities, a slot at
+  slice ``d`` open only to entities born at or before ``d``.  Leaving
+  at ``d`` forfeits the entity's benefits from ``d`` on, so
+  :func:`solve_leave_slots` builds that small rectangular cost matrix
+  with numpy and solves it with one
+  :func:`scipy.optimize.linear_sum_assignment` call.  The successive-
+  shortest-paths :func:`solve_unit_flow` over a
+  :class:`LookaheadTemplate` stays as the exact fallback for costs too
+  large for float64 (see :func:`solve_leave_slots`).
 
 Decisions are *identical* to the reference path, not merely equally
 good: both paths round float costs to integers with the same expression
 and apply the same uid-rank tie-break perturbation (see
 :func:`~repro.flow.solver.solve_min_cost_flow`), which makes the
-optimal kept-set unique.  Any exact solver therefore returns the same
+optimal kept-set unique.  The assignment objective is that perturbed
+flow cost minus a constant, so any exact solver returns the same
 kept/victim split, which the equivalence suite pins seed for seed.
 """
 
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from ..core.tuples import StreamTuple, partner
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..streams.base import History, StreamModel
+from ..streams.base import History, StreamModel, Value
 from .flowexpect import FlowExpectDecision
 from .prob_table import ProbTable
 from .solver import COST_SCALE
 
 __all__ = [
+    "LeaveSlots",
     "LookaheadTemplate",
     "FlowExpectFastPath",
+    "candidate_benefits",
     "flowexpect_decide_fast",
+    "newborn_benefits",
+    "solve_leave_slots",
     "solve_unit_flow",
+    "unit_flow_costs",
 ]
 
 #: Node ids of the virtual terminals in every template.
 _SRC = 0
 _SINK = 1
+
+
+def _born_slices(n: int, lookahead: int) -> list[int]:
+    """Birth slice of each entity: ``n`` candidates, then two per slice."""
+    return [0] * n + [s for s in range(1, lookahead) for _ in "RS"]
 
 
 class LookaheadTemplate:
@@ -95,7 +121,7 @@ class LookaheadTemplate:
         self.n_candidates = n
         self.lookahead = look
         #: Slice at which each entity first exists.
-        self.born = [0] * n + [s for s in range(1, look) for _ in "RS"]
+        self.born = _born_slices(n, look)
         born = self.born
         n_entities = len(born)
 
@@ -237,20 +263,204 @@ def solve_unit_flow(
     return [cap[2 * a] == 0 for a in range(len(tails))]
 
 
+def unit_flow_costs(
+    template: LookaheadTemplate,
+    benefit: Sequence[Sequence[float]],
+    ranks: Sequence[int],
+) -> list[int]:
+    """Perturbed integer arc costs of ``template`` for one decision.
+
+    ``benefit[e][s]`` is the expected benefit of holding entity ``e``
+    during slice ``s`` (its costed arc at ``Δt = s + 1``); ``ranks[p]``
+    is candidate ``p``'s uid rank.  Costs are shifted to make room for
+    the uid-rank tie-break on the source arcs — the scheme of the
+    reference solver, so both paths share one unique optimal kept-set.
+    """
+    n = len(ranks)
+    cost = [0] * len(template.tails)
+    for a, e, dt in template.costed:
+        cost[a] = -(int(round(benefit[e][dt - 1] * COST_SCALE)) << n)
+    for p, rank in enumerate(ranks):
+        cost[template.src_arcs[p]] += 1 << rank
+    return cost
+
+
+def candidate_benefits(
+    table: ProbTable,
+    t0: int,
+    lookahead: int,
+    partner_values: Iterable[tuple[str, Value]],
+) -> list[list[float]]:
+    """Benefit rows of the determined candidates, in candidate order.
+
+    A candidate is given by its partner side and its value; its row
+    holds the probability that the partner side produces the value at
+    ``t0 + s + 1`` for each slice ``s``.
+    """
+    prob = table.prob
+    times = range(t0 + 1, t0 + lookahead + 1)
+    return [
+        [prob(side, when, value) for when in times]
+        for side, value in partner_values
+    ]
+
+
+def newborn_benefits(
+    table: ProbTable, t0: int, lookahead: int
+) -> list[list[float]]:
+    """Benefit rows of the undetermined arrivals, in entity order.
+
+    The row of the side-``"RS"[j]`` arrival born at slice ``b`` holds
+    its expected match probability at ``t0 + s + 1`` for ``s ≥ b`` and
+    zero before its birth.  The rows depend only on ``t0``, not on the
+    candidates, so one step's deciders can share them.
+    """
+    emp = table.expected_match
+    return [
+        [0.0] * b
+        + [emp(side, t0 + b, t0 + dt) for dt in range(b + 1, lookahead + 1)]
+        for b in range(1, lookahead)
+        for side in "RS"
+    ]
+
+
+class LeaveSlots(NamedTuple):
+    """One optimal look-ahead schedule (see :func:`solve_leave_slots`)."""
+
+    #: Per candidate: whether it is kept past slice 0.
+    kept: list[bool]
+    #: Per entity: the slice it leaves at (``lookahead`` if never).
+    leave: list[int]
+    #: Summed benefit of the held ``(entity, slice)`` cells.
+    expected_benefit: float
+    #: Whether the costs were too large for the assignment and
+    #: :func:`solve_unit_flow` solved the step instead.
+    fallback: bool
+
+
+class _SlotShape:
+    """Leave-slot layout of one ``(n, lookahead, amount)`` problem."""
+
+    __slots__ = ("born", "alive", "slot_slice", "n_zero", "blocked", "max_cost")
+
+    def __init__(self, n: int, lookahead: int, amount: int):
+        """Lay out the slots, their blocked cells and the float64 guard."""
+        if lookahead < 1 or not 0 <= amount <= n:
+            raise ValueError(
+                f"no leave-slot layout for n={n}, lookahead={lookahead}, "
+                f"amount={amount}"
+            )
+        born = np.array(_born_slices(n, lookahead))
+        #: ``n − amount`` slots at slice 0, then two per later slice.
+        slot_slice = np.array(
+            [0] * (n - amount) + _born_slices(0, lookahead), dtype=np.intp
+        )
+        self.born = born
+        #: ``(entity, slice)`` cells at or after the entity's birth.
+        self.alive = np.arange(lookahead) >= born[:, None]
+        self.slot_slice = slot_slice
+        self.n_zero = n - amount
+        #: ``inf`` where the entity is born after the slot's slice.
+        self.blocked = np.where(
+            born[None, :] > slot_slice[:, None], np.inf, 0.0
+        )
+        # float64 holds every integer below 2**53 exactly.  The solver
+        # (shortest augmenting paths, duals u = v = 0 at the start) adds
+        # one row per phase.  In the phase after k rows are matched, a
+        # path length is c(P) − v_j, where c(P) sums at most 2k + 1
+        # costs of an alternating path; each v_j is a difference of two
+        # such sums, and each matched u_i is a cost minus a v_j.  So
+        # every value it forms, partial sums included, stays within
+        # (14k + 9)·max|C| < 14·rows·max|C|.  The guard keeps
+        # 16·rows·max|C| below 2**53, so all of its arithmetic is exact.
+        self.max_cost = 2.0**53 / (16 * max(len(slot_slice), 1))
+
+
+@lru_cache(maxsize=256)
+def _slot_shape(n: int, lookahead: int, amount: int) -> _SlotShape:
+    return _SlotShape(n, lookahead, amount)
+
+
+@lru_cache(maxsize=256)
+def _template(n: int, lookahead: int) -> LookaheadTemplate:
+    return LookaheadTemplate(n, lookahead)
+
+
+def solve_leave_slots(
+    benefit: Sequence[Sequence[float]],
+    lookahead: int,
+    amount: int,
+    ranks: Sequence[int],
+) -> LeaveSlots:
+    """Optimal FlowExpect schedule as a leave-slot assignment.
+
+    ``benefit`` has one row per entity (the ``n = len(ranks)``
+    candidates, then :func:`newborn_benefits`), ``lookahead`` columns,
+    and zeros before each entity's birth slice.  ``amount`` entities
+    are held at every slice; ``ranks[p]`` is candidate ``p``'s uid rank
+    for the tie-break.
+
+    With ``W = int(round(B·COST_SCALE)) << n``, slot ``d`` taken by
+    entity ``e`` costs ``Σ_{s≥d} W[e][s]``, and a slice-0 slot taken by
+    candidate ``p`` also gives back ``p``'s ``1 << rank`` tie-break.
+    That objective is :func:`unit_flow_costs`' flow cost minus a
+    constant, so its optimal kept-set is the flow's unique one.  Costs
+    too large for float64 to solve exactly go to :func:`solve_unit_flow`
+    on the same integer costs.
+    """
+    n = len(ranks)
+    shape = _slot_shape(n, lookahead, amount)
+    if len(benefit) != len(shape.born):
+        raise ValueError(
+            f"need {len(shape.born)} benefit rows, got {len(benefit)}"
+        )
+    b = np.fromiter(
+        chain.from_iterable(benefit), float, shape.alive.size
+    ).reshape(shape.alive.shape)
+    # forfeit[e, d]: what leaving at slice d gives up, Σ_{s≥d} W[e][s].
+    scaled = np.rint(b * COST_SCALE) * 2.0**n
+    forfeit = np.cumsum(scaled[:, ::-1], axis=1)[:, ::-1]
+    cost = forfeit.T[shape.slot_slice]
+    cost[: shape.n_zero, :n] -= np.ldexp(1.0, ranks)
+    fallback = not np.abs(cost).max(initial=0.0) < shape.max_cost
+    if not fallback:
+        rows, cols = linear_sum_assignment(cost + shape.blocked)
+        leave = np.full(len(shape.born), lookahead)
+        leave[cols] = shape.slot_slice[rows]
+    else:
+        template = _template(n, lookahead)
+        used = solve_unit_flow(
+            template, unit_flow_costs(template, benefit, ranks), amount
+        )
+        leave = shape.born.copy()
+        for a, e, _ in template.costed:
+            if used[a]:
+                leave[e] += 1
+    held = shape.alive & (np.arange(lookahead) < leave[:, None])
+    # Summed in the reference's arc order, (Δt, entity).
+    expected = sum(b.T[held.T].tolist())
+    return LeaveSlots(
+        kept=(leave[:n] > 0).tolist(),
+        leave=leave.tolist(),
+        expected_benefit=expected,
+        fallback=fallback,
+    )
+
+
 class FlowExpectFastPath:
     """Reusable FlowExpect decision engine for one stream-model pair.
 
-    Holds the :class:`~repro.flow.prob_table.ProbTable` and the template
-    cache that successive decisions share; one instance per simulation
-    run (a fresh policy instance per trial keeps trials independent).
+    Holds the :class:`~repro.flow.prob_table.ProbTable` that successive
+    decisions share; one instance per simulation run (a fresh policy
+    instance per trial keeps trials independent).
 
     An enabled ``recorder`` (:mod:`repro.obs`) collects per-decision
-    solver work (``flow.solves``, ``flow.solver_iterations``, the
-    ``flow.solve`` timer, the ``flow.solve_ms`` per-solve series) and
-    the probability-memo effectiveness (``prob_table.hits`` /
-    ``prob_table.misses`` counters plus the per-decision
-    ``prob_table.hit_rate`` series); the default no-op recorder leaves
-    the hot path untouched.
+    solver work (``flow.solves``, ``flow.solver_iterations`` in flow
+    units, ``flow.fallback_solves``, the ``flow.solve`` timer, the
+    ``flow.solve_ms`` per-solve series) and the probability-memo
+    effectiveness (``prob_table.hits`` / ``prob_table.misses`` counters
+    plus the per-decision ``prob_table.hit_rate`` series); the default
+    no-op recorder leaves the hot path untouched.
     """
 
     def __init__(
@@ -261,7 +471,6 @@ class FlowExpectFastPath:
     ):
         """Bind the model pair and (optionally) an observability sink."""
         self._table = ProbTable(r_model, s_model)
-        self._templates: dict[tuple[int, int], LookaheadTemplate] = {}
         self._recorder = recorder
         self._hits_flushed = 0
         self._misses_flushed = 0
@@ -286,45 +495,26 @@ class FlowExpectFastPath:
         table = self._table
         table.rebind(r_history, s_history)
         n = len(candidates)
-        template = self._templates.get((n, lookahead))
-        if template is None:
-            template = LookaheadTemplate(n, lookahead)
-            self._templates[(n, lookahead)] = template
-
-        # Rebind arc costs: one memoized probability per costed arc.
-        partner_sides = [partner(c.side) for c in candidates]
-        born = template.born
-        cost_float = [0.0] * len(template.tails)
-        for a, e, dt in template.costed:
-            if e < n:
-                benefit = table.prob(
-                    partner_sides[e], t0 + dt, candidates[e].value
-                )
-            else:
-                benefit = table.expected_match(
-                    "RS"[(e - n) % 2], t0 + born[e], t0 + dt
-                )
-            cost_float[a] = -benefit
-
-        # Integer costs, shifted to make room for the uid-rank tie-break
-        # perturbation on the source arcs — the same scheme the reference
-        # solver applies, so both paths share one unique optimal kept-set.
-        cost_int = [
-            int(round(w * COST_SCALE)) << n for w in cost_float
-        ]
+        benefit = candidate_benefits(
+            table, t0, lookahead, ((partner(c.side), c.value) for c in candidates)
+        )
+        benefit += newborn_benefits(table, t0, lookahead)
+        ranks = [0] * n
         by_uid = sorted(range(n), key=lambda p: candidates[p].uid)
         for rank, p in enumerate(by_uid):
-            cost_int[template.src_arcs[p]] += 1 << rank
+            ranks[p] = rank
 
         amount = min(cache_size, n)
         rec = self._recorder
         if rec.enabled:
             solve_start = time.perf_counter()
             with rec.timer("flow.solve"):
-                used = solve_unit_flow(template, cost_int, amount)
+                sol = solve_leave_slots(benefit, lookahead, amount, ranks)
             solve_ms = (time.perf_counter() - solve_start) * 1e3
             rec.count("flow.solves")
             rec.count("flow.solver_iterations", amount)
+            if sol.fallback:
+                rec.count("flow.fallback_solves")
             rec.series("flow.solve_ms", t0, solve_ms)
             # Flush the memo tallies accumulated since the last decision.
             table_hits, table_misses = table.hits, table.misses
@@ -342,16 +532,12 @@ class FlowExpectFastPath:
             if lookups > 0:
                 rec.series("prob_table.hit_rate", t0, d_hits / lookups)
         else:
-            used = solve_unit_flow(template, cost_int, amount)
+            sol = solve_leave_slots(benefit, lookahead, amount, ranks)
 
-        kept_mask = [used[template.src_arcs[p]] for p in range(n)]
-        benefit = -sum(
-            w for a, w in enumerate(cost_float) if used[a] and w
-        )
         return FlowExpectDecision(
-            kept=[c for c, k in zip(candidates, kept_mask) if k],
-            victims=[c for c, k in zip(candidates, kept_mask) if not k],
-            expected_benefit=benefit,
+            kept=[c for c, k in zip(candidates, sol.kept) if k],
+            victims=[c for c, k in zip(candidates, sol.kept) if not k],
+            expected_benefit=sol.expected_benefit,
         )
 
 

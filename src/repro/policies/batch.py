@@ -33,12 +33,13 @@ Equivalence is achieved by construction rather than by approximation:
 * stateful policies whose scalar math is per-*value* rather than
   per-slot (LRU-k's reference histories, windowed HEEB's per-tuple
   window clips, TrieCachePolicy's shared node scores and EMA budgets,
-  FlowExpect's min-cost-flow solves) are replayed through
-  *memo-gather* adapters: each distinct key calls the identical scalar
-  function once and the result is scattered across all trials, so the
-  per-trial decisions stay bit-identical while the expensive math is
-  shared ``B``-fold (windowed HEEB gathers from the strategy's own
-  ``windowed_h``, whose memo both tiers share).
+  FlowExpect's benefit rows) are replayed through *memo-gather*
+  adapters: each distinct key calls the identical scalar function once
+  and the result is scattered across all trials, so the per-trial
+  decisions stay bit-identical while the expensive math is shared
+  ``B``-fold (windowed HEEB gathers from the strategy's own
+  ``windowed_h``, whose memo both tiers share; FlowExpect still solves
+  one leave-slot assignment per trial).
 
 A few configurations remain scalar-only and raise
 :class:`UnbatchablePolicyError` from :func:`make_batch_policy` (OPT
@@ -64,9 +65,12 @@ import numpy as np
 from ..core.heeb import heeb_cache, heeb_join, heeb_join_band
 from ..core.lifetime import LExp
 from ..core.precompute import H1Table, H2Surface
-from ..flow.fastpath import LookaheadTemplate, solve_unit_flow
+from ..flow.fastpath import (
+    candidate_benefits,
+    newborn_benefits,
+    solve_leave_slots,
+)
 from ..flow.prob_table import ProbTable
-from ..flow.solver import COST_SCALE
 from ..streams.ar1 import AR1Stream
 from ..streams.base import StreamModel
 from ..streams.linear_trend import LinearTrendStream
@@ -1085,34 +1089,29 @@ class BatchTrie(BatchPolicy):
 # FlowExpect
 # ----------------------------------------------------------------------
 class BatchFlowExpect(BatchPolicy):
-    """FlowExpect replayed per trial over shared templates and ProbTables.
+    """FlowExpect replayed per trial over one shared ProbTable.
 
     Each eviction round mirrors
     :meth:`~repro.flow.fastpath.FlowExpectFastPath.decide` per trial —
-    the same integer cost rounding, the same uid-rank perturbation, one
-    :func:`~repro.flow.fastpath.solve_unit_flow` call — while sharing all
-    trial-independent work across the batch:
+    the same benefit rows, the same uid-rank tie-break, one
+    :func:`~repro.flow.fastpath.solve_leave_slots` call — while sharing
+    all trial-independent work across the batch:
 
     * one :class:`~repro.flow.prob_table.ProbTable` answers every
       probability query (independent models never rebind their anchors,
       so memoized entries stay valid for the whole run and across
       trials);
-    * the :class:`~repro.flow.fastpath.LookaheadTemplate` cache is keyed
-      by candidate count, and per step each distinct count also shares
-      its base cost vector — the undetermined-arrival arcs and the
-      uid-rank perturbation (alive slots hold strictly ascending uids,
-      making the scalar rank permutation the identity) — leaving only
-      the determined first-slice arcs to fill per trial.
-
-    The per-trial solver calls remain the dominant cost, which is why
-    this adapter's batch speedup is modest compared to the scored
-    adapters (see ``docs/PERFORMANCE.md``).
+    * per step, every trial shares the undetermined arrivals' benefit
+      rows (:func:`~repro.flow.fastpath.newborn_benefits`) and alive
+      slots hold strictly ascending uids, making the scalar rank
+      permutation the identity — leaving only the candidates' rows to
+      fill per trial.
 
     ``counter_totals`` mirrors the scalar ``flow.solves`` /
-    ``flow.solver_iterations`` counters; wall-clock series
-    (``flow.solve_ms``, ``prob_table.hit_rate``) and the memo tallies
-    are scalar-only — sharing the table across trials changes hit/miss
-    counts without changing any decision.
+    ``flow.solver_iterations`` / ``flow.fallback_solves`` counters;
+    wall-clock series (``flow.solve_ms``, ``prob_table.hit_rate``) and
+    the memo tallies are scalar-only — sharing the table across trials
+    changes hit/miss counts without changing any decision.
     """
 
     name = "FLOWEXPECT"
@@ -1128,40 +1127,21 @@ class BatchFlowExpect(BatchPolicy):
         self.lookahead = policy.lookahead
         self._cache_size = int(cache_size)
         self._table = ProbTable(r_model, s_model)
-        self._templates: dict[tuple[int, int], LookaheadTemplate] = {}
         self._solves = 0
         self._iterations = 0
+        self._fallbacks = 0
 
     def reset(self, n_trials: int, n_slots: int) -> None:
         self._solves = 0
         self._iterations = 0
+        self._fallbacks = 0
 
     def counter_totals(self) -> dict[str, int]:
         return {
             "flow.solves": self._solves,
             "flow.solver_iterations": self._iterations,
+            "flow.fallback_solves": self._fallbacks,
         }
-
-    def _base_costs(
-        self, n: int, t: int
-    ) -> tuple[LookaheadTemplate, list[int]]:
-        """Template + trial-independent cost vector for ``n`` candidates."""
-        template = self._templates.get((n, self.lookahead))
-        if template is None:
-            template = LookaheadTemplate(n, self.lookahead)
-            self._templates[(n, self.lookahead)] = template
-        table = self._table
-        born = template.born
-        base = [0] * len(template.tails)
-        for a, e, dt in template.costed:
-            if e >= n:
-                w = -table.expected_match(
-                    "RS"[(e - n) % 2], t + born[e], t + dt
-                )
-                base[a] = int(round(w * COST_SCALE)) << n
-        for rank, arc in enumerate(template.src_arcs):
-            base[arc] += 1 << rank
-        return template, base
 
     def select(self, state, n_evict, t: int) -> np.ndarray:
         victims = np.zeros(state.alive.shape, dtype=bool)
@@ -1169,32 +1149,25 @@ class BatchFlowExpect(BatchPolicy):
         if not rows:
             return victims
         counts = state.alive.sum(axis=1)
-        table = self._table
-        base_cache: dict[int, tuple[LookaheadTemplate, list[int]]] = {}
+        look = self.lookahead
+        newborn = newborn_benefits(self._table, t, look)
         for b in rows:
             n = int(counts[b])
             if n == 0:
                 continue
-            entry = base_cache.get(n)
-            if entry is None:
-                entry = self._base_costs(n, t)
-                base_cache[n] = entry
-            template, base = entry
-            cost = list(base)
-            vals = state.val[b, :n].tolist()
-            sides = state.side[b, :n].tolist()
-            for a, e, dt in template.costed:
-                if e < n:
-                    pside = "S" if sides[e] == R_CODE else "R"
-                    w = -table.prob(pside, t + dt, vals[e])
-                    cost[a] = int(round(w * COST_SCALE)) << n
+            partner_values = [
+                ("S" if code == R_CODE else "R", value)
+                for code, value in zip(
+                    state.side[b, :n].tolist(), state.val[b, :n].tolist()
+                )
+            ]
+            benefit = candidate_benefits(self._table, t, look, partner_values)
             amount = min(self._cache_size, n)
-            used = solve_unit_flow(template, cost, amount)
+            sol = solve_leave_slots(benefit + newborn, look, amount, range(n))
             self._solves += 1
             self._iterations += amount
-            for p in range(n):
-                if not used[template.src_arcs[p]]:
-                    victims[b, p] = True
+            self._fallbacks += sol.fallback
+            victims[b, :n] = np.logical_not(sol.kept)
         return victims
 
 

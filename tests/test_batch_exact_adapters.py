@@ -394,11 +394,8 @@ class TestTrieBinary:
 # ----------------------------------------------------------------------
 class TestFlowExpectBatch:
     def _flow_counters(self, rec):
-        return {
-            k: v
-            for k, v in rec.counters.items()
-            if k in ("flow.solves", "flow.solver_iterations")
-        }
+        names = ("flow.solves", "flow.solver_iterations", "flow.fallback_solves")
+        return {k: v for k, v in rec.counters.items() if k in names}
 
     @pytest.mark.parametrize("lookahead", [1, 3, 6])
     def test_stationary_exact(self, lookahead):

@@ -21,13 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tuples import StreamTuple
+from repro.experiments.configs import make_config
 from repro.flow import (
     FlowExpectFastPath,
     LookaheadTemplate,
     flowexpect_decide,
     flowexpect_decide_fast,
+    solve_leave_slots,
     solve_unit_flow,
+    unit_flow_costs,
 )
+from repro.obs import CounterRecorder
 from repro.policies.flowexpect_policy import FlowExpectPolicy
 from repro.sim.join_sim import JoinSimulator
 from repro.streams import make_stream
@@ -301,3 +305,184 @@ class TestTemplate:
         ref = flowexpect_decide(candidates, 0, 1, 1, model, model)
         _assert_same_decision(fast, ref)
         assert _uids(fast.kept) == [1]  # value 1 matches with prob 0.7
+
+
+# ----------------------------------------------------------------------
+# Leave-slot assignment: same optimum as the unit-flow solver
+# ----------------------------------------------------------------------
+def _check_against_unit_flow(benefit, lookahead, amount, ranks):
+    """Solve both ways on the same integer costs; return the assignment."""
+    n = len(ranks)
+    sol = solve_leave_slots(benefit, lookahead, amount, ranks)
+    template = LookaheadTemplate(n, lookahead)
+    cost = unit_flow_costs(template, benefit, ranks)
+    used = solve_unit_flow(template, cost, amount)
+
+    # A valid schedule: n − amount leave at slice 0, two at each later
+    # slice, nobody before its birth, and ``amount`` stay to the end.
+    born = template.born
+    assert all(d >= b for d, b in zip(sol.leave, born))
+    leaving = [sol.leave.count(d) for d in range(lookahead + 1)]
+    assert leaving == [n - amount] + [2] * (lookahead - 1) + [amount]
+
+    assert sol.kept == [used[a] for a in template.src_arcs]
+    # Integer objective of the schedule, read as a flow: the costed arcs
+    # of the held cells plus the kept candidates' source arcs.
+    schedule_cost = sum(
+        cost[a] for a, e, dt in template.costed if dt - 1 < sol.leave[e]
+    )
+    schedule_cost += sum(
+        cost[template.src_arcs[p]] for p in range(n) if sol.kept[p]
+    )
+    assert schedule_cost == sum(c for c, u in zip(cost, used) if u)
+    flow_benefit = sum(
+        benefit[e][dt - 1] for a, e, dt in template.costed if used[a]
+    )
+    assert sol.expected_benefit == pytest.approx(
+        flow_benefit, rel=1e-9, abs=1e-12
+    )
+    return sol
+
+
+def _benefit_rows(rng, n, lookahead):
+    """Random benefit rows with ties, zero before each entity's birth."""
+
+    def cell():
+        if rng.random() < 0.5:
+            return float(rng.choice([0.0, 0.25, 0.5]))
+        return rng.random()
+
+    born = LookaheadTemplate(n, lookahead).born
+    return [[0.0 if s < b else cell() for s in range(lookahead)] for b in born]
+
+
+@st.composite
+def _slot_problems(draw):
+    """Random benefits with forced zeros and ties, scaled across the guard."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    lookahead = draw(st.integers(min_value=1, max_value=10))
+    amount = draw(st.integers(min_value=1, max_value=n))
+    ranks = draw(st.permutations(range(n)))
+    scale = draw(st.sampled_from([1.0, 1e4, 1e8]))
+    palette = draw(
+        st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=3)
+    )
+    cell = st.one_of(
+        st.just(0.0),
+        st.sampled_from(palette),
+        st.floats(min_value=0, max_value=1),
+    )
+    benefit = []
+    for b in LookaheadTemplate(n, lookahead).born:
+        alive = lookahead - b
+        cells = draw(st.lists(cell, min_size=alive, max_size=alive))
+        benefit.append([0.0] * b + [scale * v for v in cells])
+    return benefit, lookahead, amount, ranks
+
+
+class TestLeaveSlots:
+    @settings(max_examples=80, deadline=None)
+    @given(problem=_slot_problems())
+    def test_matches_unit_flow(self, problem):
+        _check_against_unit_flow(*problem)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_slice_zero_slots(self, seed):
+        # n ≤ cache_size: every candidate is kept at slice 0.
+        rng = np.random.default_rng(seed)
+        n, lookahead = 5, 6
+        sol = _check_against_unit_flow(
+            _benefit_rows(rng, n, lookahead), lookahead, n, list(range(n))
+        )
+        assert sol.kept == [True] * n
+
+    @pytest.mark.parametrize("amount", [1, 3, 6])
+    def test_lookahead_one(self, amount):
+        # No later slices: only the slice-0 slots exist.
+        rng = np.random.default_rng(amount)
+        n = 6
+        ranks = [int(r) for r in rng.permutation(n)]
+        sol = _check_against_unit_flow(
+            _benefit_rows(rng, n, 1), 1, amount, ranks
+        )
+        assert sum(sol.kept) == amount
+
+    def test_scaled_across_guard(self):
+        # One problem at growing scale: exact in float64 at first, then
+        # too large for it, where the unit-flow fallback must agree.
+        rng = np.random.default_rng(7)
+        n, lookahead, amount = 12, 8, 10
+        benefit = _benefit_rows(rng, n, lookahead)
+        ranks = [int(r) for r in rng.permutation(n)]
+        flags = []
+        for scale in (1.0, 1e2, 1e4, 1e6):
+            scaled = [[scale * v for v in row] for row in benefit]
+            sol = _check_against_unit_flow(scaled, lookahead, amount, ranks)
+            flags.append(sol.fallback)
+        assert flags[0] is False and flags[-1] is True
+
+    def test_hand_checked_schedule(self):
+        # Two candidates, one slot, look-ahead 2.  Keeping candidate 0
+        # (0.3) and swapping it for the S newborn (0.9) earns 1.2; every
+        # schedule keeping candidate 1 earns at most 0.1 + 0.9.
+        benefit = [[0.3, 0.2], [0.1, 0.5], [0.0, 0.4], [0.0, 0.9]]
+        sol = _check_against_unit_flow(benefit, 2, 1, [1, 0])
+        assert sol.kept == [True, False]
+        assert sol.leave == [1, 0, 1, 2]
+        assert sol.expected_benefit == pytest.approx(1.2)
+
+    @pytest.mark.parametrize(
+        "rows, lookahead, amount",
+        [(1, 1, 2), (2, 1, 1), (1, 0, 1)],
+    )
+    def test_rejects_malformed_problems(self, rows, lookahead, amount):
+        with pytest.raises(ValueError):
+            solve_leave_slots([[0.1]] * rows, lookahead, amount, [0])
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_benchmark_shape_never_falls_back(self, n):
+        # Cache 10 with one or two arrivals, look-ahead 8: any benefits
+        # ≤ 1 fit float64.
+        lookahead = 8
+        born = LookaheadTemplate(n, lookahead).born
+        ones = [[float(s >= b) for s in range(lookahead)] for b in born]
+        sol = solve_leave_slots(ones, lookahead, 10, list(range(n)))
+        assert sol.fallback is False
+
+
+# ----------------------------------------------------------------------
+# Simulator level: where the unit-flow fallback runs
+# ----------------------------------------------------------------------
+def _config_paths(config, length, seed):
+    rng = np.random.default_rng(seed)
+    r = config.r_model.sample_path(length, rng)
+    s = config.s_model.sample_path(length, np.random.default_rng(seed + 1))
+    return r, s
+
+
+class TestFallbackCounter:
+    def test_floor_benchmark_shape_has_no_fallbacks(self):
+        # FLOOR at cache 10, look-ahead 8 — the benchmark workload.
+        config = make_config("FLOOR")
+        r, s = _config_paths(config, 120, 3)
+        rec = CounterRecorder()
+        policy = FlowExpectPolicy(8, config.r_model, config.s_model)
+        JoinSimulator(10, policy, recorder=rec).run(r, s)
+        assert rec.counters["flow.solves"] > 0
+        assert rec.counters.get("flow.fallback_solves", 0) == 0
+
+    def test_tower_cache_20_falls_back_every_solve(self):
+        config = make_config("TOWER")
+        r, s = _config_paths(config, 60, 4)
+        runs = {}
+        for fast in (True, False):
+            rec = CounterRecorder()
+            policy = _SpyFlowExpect(
+                3, config.r_model, config.s_model, fast=fast
+            )
+            JoinSimulator(20, policy, recorder=rec).run(r, s)
+            runs[fast] = (policy.decisions, rec.counters)
+        (fast_decisions, counters), (ref_decisions, _) = runs[True], runs[False]
+        assert counters["flow.solves"] > 0
+        assert counters["flow.fallback_solves"] == counters["flow.solves"]
+        assert fast_decisions == ref_decisions
