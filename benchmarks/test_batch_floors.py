@@ -12,8 +12,9 @@ The floors sit at about a third of the measured speedup (LRU-k on
 TOWER ≈5×, trie ≈8–10×, CHAIN3 HEEB ≈130× at 16 trials × 200 ticks).
 Runner noise cannot trip them, but a lost vectorization or a fast path
 that quietly falls back to the reference (speedup ≈1×) always does.
-FlowExpect's fast path measures ≈30× and keeps its 2× floor, which
-still catches a lost fast path; a silent switch to the unit-flow
+FlowExpect's fast path measures ≈110× (best of five on 2 vCPUs, with
+benefit rows read from the frame-keyed memo) and keeps its 2× floor,
+which still catches a lost fast path; a silent switch to the unit-flow
 fallback (≈8× on its own) is caught by the ``flow.fallback_solves``
 count in ``tests/test_flowexpect_fastpath.py`` instead.  The sizes keep
 the whole file under a minute.  Run with::

@@ -9,9 +9,7 @@ from .fastpath import (
     FlowExpectFastPath,
     LeaveSlots,
     LookaheadTemplate,
-    candidate_benefits,
     flowexpect_decide_fast,
-    newborn_benefits,
     solve_leave_slots,
     solve_unit_flow,
     unit_flow_costs,
@@ -19,13 +17,14 @@ from .fastpath import (
 from .flowexpect import FlowExpectDecision, flowexpect_decide
 from .graph import LookaheadGraph, build_lookahead_graph, expected_match_prob
 from .opt_offline import OfflineSolution, match_times, solve_opt_offline
-from .prob_table import ProbTable
+from .prob_table import FrameStep, ProbTable
 from .solver import COST_SCALE, solve_min_cost_flow
 
 __all__ = [
     "COST_SCALE",
     "FlowExpectDecision",
     "FlowExpectFastPath",
+    "FrameStep",
     "LeaveSlots",
     "LookaheadGraph",
     "LookaheadTemplate",
@@ -35,12 +34,10 @@ __all__ = [
     "brute_force_offline_benefit",
     "brute_force_predetermined_expectation",
     "build_lookahead_graph",
-    "candidate_benefits",
     "expected_match_prob",
     "flowexpect_decide",
     "flowexpect_decide_fast",
     "match_times",
-    "newborn_benefits",
     "solve_leave_slots",
     "solve_min_cost_flow",
     "solve_opt_offline",

@@ -11,10 +11,14 @@ avoidable:
   time origin and the first-slice candidates differ.  The problem
   layout is built once per shape and each decision merely rebinds
   benefits.
-* **Probability memoization** — benefits come from a
+* **Benefit-row memoization** — benefits come from a
   :class:`~repro.flow.prob_table.ProbTable`, so each distinct
   probability is computed once per decision (and once per *run* for
-  independent models) instead of once per arc.
+  independent models) instead of once per arc.  For framed models
+  (linear trends, stationary streams) the table keys whole rows on
+  frame offsets rather than times, so a warm decision reads every
+  candidate's row and the step's newborn block from the memo instead
+  of rebuilding them.
 * **Direct solver** — the look-ahead flow has a special shape: one
   unit per cache slot, entities that never return once they leave, and
   exactly two newborns per slice after the first.  So every slice
@@ -46,14 +50,14 @@ import time
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from ..core.tuples import StreamTuple, partner
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..streams.base import History, StreamModel, Value
+from ..streams.base import History, StreamModel
 from .flowexpect import FlowExpectDecision
 from .prob_table import ProbTable
 from .solver import COST_SCALE
@@ -62,9 +66,7 @@ __all__ = [
     "LeaveSlots",
     "LookaheadTemplate",
     "FlowExpectFastPath",
-    "candidate_benefits",
     "flowexpect_decide_fast",
-    "newborn_benefits",
     "solve_leave_slots",
     "solve_unit_flow",
     "unit_flow_costs",
@@ -285,45 +287,6 @@ def unit_flow_costs(
     return cost
 
 
-def candidate_benefits(
-    table: ProbTable,
-    t0: int,
-    lookahead: int,
-    partner_values: Iterable[tuple[str, Value]],
-) -> list[list[float]]:
-    """Benefit rows of the determined candidates, in candidate order.
-
-    A candidate is given by its partner side and its value; its row
-    holds the probability that the partner side produces the value at
-    ``t0 + s + 1`` for each slice ``s``.
-    """
-    prob = table.prob
-    times = range(t0 + 1, t0 + lookahead + 1)
-    return [
-        [prob(side, when, value) for when in times]
-        for side, value in partner_values
-    ]
-
-
-def newborn_benefits(
-    table: ProbTable, t0: int, lookahead: int
-) -> list[list[float]]:
-    """Benefit rows of the undetermined arrivals, in entity order.
-
-    The row of the side-``"RS"[j]`` arrival born at slice ``b`` holds
-    its expected match probability at ``t0 + s + 1`` for ``s ≥ b`` and
-    zero before its birth.  The rows depend only on ``t0``, not on the
-    candidates, so one step's deciders can share them.
-    """
-    emp = table.expected_match
-    return [
-        [0.0] * b
-        + [emp(side, t0 + b, t0 + dt) for dt in range(b + 1, lookahead + 1)]
-        for b in range(1, lookahead)
-        for side in "RS"
-    ]
-
-
 class LeaveSlots(NamedTuple):
     """One optimal look-ahead schedule (see :func:`solve_leave_slots`)."""
 
@@ -395,8 +358,9 @@ def solve_leave_slots(
     """Optimal FlowExpect schedule as a leave-slot assignment.
 
     ``benefit`` has one row per entity (the ``n = len(ranks)``
-    candidates, then :func:`newborn_benefits`), ``lookahead`` columns,
-    and zeros before each entity's birth slice.  ``amount`` entities
+    candidates, then the step's
+    :meth:`~repro.flow.prob_table.ProbTable.newborn_rows`), ``lookahead``
+    columns, and zeros before each entity's birth slice.  ``amount`` entities
     are held at every slice; ``ranks[p]`` is candidate ``p``'s uid rank
     for the tie-break.
 
@@ -495,10 +459,10 @@ class FlowExpectFastPath:
         table = self._table
         table.rebind(r_history, s_history)
         n = len(candidates)
-        benefit = candidate_benefits(
-            table, t0, lookahead, ((partner(c.side), c.value) for c in candidates)
-        )
-        benefit += newborn_benefits(table, t0, lookahead)
+        step = table.step(t0, lookahead)
+        row = table.candidate_row
+        benefit = [row(step, partner(c.side), c.value) for c in candidates]
+        benefit += table.newborn_rows(step)
         ranks = [0] * n
         by_uid = sorted(range(n), key=lambda p: candidates[p].uid)
         for rank, p in enumerate(by_uid):

@@ -65,11 +65,7 @@ import numpy as np
 from ..core.heeb import heeb_cache, heeb_join, heeb_join_band
 from ..core.lifetime import LExp
 from ..core.precompute import H1Table, H2Surface
-from ..flow.fastpath import (
-    candidate_benefits,
-    newborn_benefits,
-    solve_leave_slots,
-)
+from ..flow.fastpath import solve_leave_slots
 from ..flow.prob_table import ProbTable
 from ..streams.ar1 import AR1Stream
 from ..streams.base import StreamModel
@@ -1098,14 +1094,14 @@ class BatchFlowExpect(BatchPolicy):
     all trial-independent work across the batch:
 
     * one :class:`~repro.flow.prob_table.ProbTable` answers every
-      probability query (independent models never rebind their anchors,
-      so memoized entries stay valid for the whole run and across
-      trials);
-    * per step, every trial shares the undetermined arrivals' benefit
-      rows (:func:`~repro.flow.fastpath.newborn_benefits`) and alive
-      slots hold strictly ascending uids, making the scalar rank
-      permutation the identity — leaving only the candidates' rows to
-      fill per trial.
+      probability and row query (independent models never rebind their
+      anchors, so memoized entries stay valid for the whole run and
+      across trials);
+    * per step, every trial shares the step's frame key
+      (:meth:`~repro.flow.prob_table.ProbTable.step`) and the
+      undetermined arrivals' benefit rows, and alive slots hold strictly
+      ascending uids, making the scalar rank permutation the identity —
+      leaving only the candidates' row lookups per trial.
 
     ``counter_totals`` mirrors the scalar ``flow.solves`` /
     ``flow.solver_iterations`` / ``flow.fallback_solves`` counters;
@@ -1150,20 +1146,23 @@ class BatchFlowExpect(BatchPolicy):
             return victims
         counts = state.alive.sum(axis=1)
         look = self.lookahead
-        newborn = newborn_benefits(self._table, t, look)
+        table = self._table
+        step = table.step(t, look)
+        row = table.candidate_row
+        newborn = table.newborn_rows(step)
         for b in rows:
             n = int(counts[b])
             if n == 0:
                 continue
-            partner_values = [
-                ("S" if code == R_CODE else "R", value)
+            benefit = [
+                row(step, "S" if code == R_CODE else "R", value)
                 for code, value in zip(
                     state.side[b, :n].tolist(), state.val[b, :n].tolist()
                 )
             ]
-            benefit = candidate_benefits(self._table, t, look, partner_values)
+            benefit += newborn
             amount = min(self._cache_size, n)
-            sol = solve_leave_slots(benefit + newborn, look, amount, range(n))
+            sol = solve_leave_slots(benefit, look, amount, range(n))
             self._solves += 1
             self._iterations += amount
             self._fallbacks += sol.fallback

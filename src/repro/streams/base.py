@@ -113,6 +113,19 @@ class StreamModel(abc.ABC):
         """
         return list(self.cond_dist(t, history).items())
 
+    def frame(self, t: int) -> Optional[int]:
+        """Offset ``c(t)`` that makes the predictions one shifted shape.
+
+        An integer means ``prob(t, v)`` is exactly ``g(v − c(t))`` for
+        one fixed ``g``, and ``support(t)`` is ``g``'s support shifted by
+        ``c(t)`` with the same probabilities in the same order, at every
+        time and under any history.  FlowExpect's
+        :class:`~repro.flow.prob_table.ProbTable` then keys its memos on
+        these offsets instead of on times.  A model has a frame at every
+        time or at none; the default ``None`` means none.
+        """
+        return None
+
     def sample_future(
         self,
         t0: int,

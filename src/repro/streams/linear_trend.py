@@ -82,6 +82,10 @@ class LinearTrendStream(StreamModel):
         f = self.trend(t)
         return f + self._noise.min_value, f + self._noise.max_value
 
+    def frame(self, t: int) -> int:
+        """The trend: ``prob`` is ``noise.pmf(v − trend(t))`` at any speed."""
+        return self.trend(t)
+
     # ------------------------------------------------------------------
     def sample_path(self, length: int, rng: np.random.Generator) -> list[Value]:
         steps = self._noise.sample(rng, size=length)

@@ -30,6 +30,10 @@ class StationaryStream(StreamModel):
         """The time-invariant per-step value distribution ``p(v)``."""
         return self._dist
 
+    def frame(self, t: int) -> int:
+        """Zero: every step predicts the same distribution."""
+        return 0
+
     def sample_path(self, length: int, rng: np.random.Generator) -> list[Value]:
         return [int(v) for v in self._dist.sample(rng, size=length)]
 

@@ -25,18 +25,33 @@ from repro.experiments.configs import make_config
 from repro.flow import (
     FlowExpectFastPath,
     LookaheadTemplate,
+    ProbTable,
+    expected_match_prob,
     flowexpect_decide,
     flowexpect_decide_fast,
     solve_leave_slots,
     solve_unit_flow,
     unit_flow_costs,
 )
+from repro.flow import prob_table
 from repro.obs import CounterRecorder
 from repro.policies.flowexpect_policy import FlowExpectPolicy
 from repro.sim.join_sim import JoinSimulator
-from repro.streams import make_stream
+from repro.streams import (
+    AR1Stream,
+    LinearTrendStream,
+    RandomWalkStream,
+    StationaryStream,
+    TabularStream,
+    make_stream,
+)
 from repro.streams.base import History
-from repro.streams.noise import discretized_normal, from_mapping
+from repro.streams.noise import (
+    bounded_normal,
+    bounded_uniform,
+    discretized_normal,
+    from_mapping,
+)
 
 
 def _uids(tuples):
@@ -486,3 +501,235 @@ class TestFallbackCounter:
         assert counters["flow.solves"] > 0
         assert counters["flow.fallback_solves"] == counters["flow.solves"]
         assert fast_decisions == ref_decisions
+
+
+# ----------------------------------------------------------------------
+# Frame-keyed memo: rows equal fresh computations, decisions unchanged
+# ----------------------------------------------------------------------
+def _fresh_candidate_row(model, t0, lookahead, value):
+    return tuple(model.prob(t, value) for t in range(t0 + 1, t0 + lookahead + 1))
+
+
+def _fresh_newborn_rows(models, t0, lookahead):
+    return tuple(
+        (0.0,) * b
+        + tuple(
+            expected_match_prob(
+                models[side], t0 + b, models[other], t0 + dt, None, None
+            )
+            for dt in range(b + 1, lookahead + 1)
+        )
+        for b in range(1, lookahead)
+        for side, other in (("R", "S"), ("S", "R"))
+    )
+
+
+_NOISES = [
+    bounded_uniform(2),
+    bounded_normal(3, 1.0),
+    from_mapping({-1: 0.2, 0: 0.5, 2: 0.3}),
+]
+
+
+@st.composite
+def _framed_pairs(draw):
+    """A framed model pair: trends at speed ½, 1 or 2, or stationary."""
+
+    def model():
+        noise = draw(st.sampled_from(_NOISES))
+        if draw(st.booleans()):
+            return LinearTrendStream(
+                noise,
+                speed=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                lag=draw(st.integers(min_value=-3, max_value=3)),
+                intercept=draw(st.integers(min_value=-5, max_value=5)),
+            )
+        return StationaryStream(noise)
+
+    return model(), model()
+
+
+class TestFramedRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=_framed_pairs(),
+        start=st.integers(min_value=0, max_value=30),
+        jumps=st.lists(
+            st.integers(min_value=-3, max_value=5), min_size=1, max_size=8
+        ),
+        lookahead=st.integers(min_value=1, max_value=8),
+        offsets=st.lists(
+            st.one_of(st.none(), st.integers(min_value=-6, max_value=6)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_rows_equal_fresh_computation(
+        self, pair, start, jumps, lookahead, offsets
+    ):
+        """One warm table across steps: every row read from the memo is
+        ``==`` the row computed from the models at that step's times.
+        Values sit at fixed offsets from each step's trend, so the same
+        frame offsets recur under different shapes (speed ½) and
+        different times."""
+        models = {"R": pair[0], "S": pair[1]}
+        table = ProbTable(pair[0], pair[1])
+        assert table.framed
+        times = [start]
+        for jump in jumps:
+            times.append(max(0, times[-1] + jump))
+        for t0 in times:
+            step = table.step(t0, lookahead)
+            for side in "RS":
+                c0 = models[side].frame(t0)
+                for offset in offsets:
+                    value = None if offset is None else c0 + offset
+                    assert table.candidate_row(
+                        step, side, value
+                    ) == _fresh_candidate_row(
+                        models[side], t0, lookahead, value
+                    )
+            assert table.newborn_rows(step) == _fresh_newborn_rows(
+                models, t0, lookahead
+            )
+
+    def test_dash_candidate_row_is_zero(self):
+        trend = LinearTrendStream(bounded_uniform(2), speed=2.0, lag=1)
+        table = ProbTable(trend, trend)
+        row = table.candidate_row(table.step(5, 4), "S", None)
+        assert row == (0.0,) * 4
+
+    def test_unit_speed_rows_shared_across_steps(self):
+        # A unit-speed trend has one shape: a value keeping its offset
+        # to the trend reads the same stored row at every step.
+        config = make_config("FLOOR")
+        table = ProbTable(config.r_model, config.s_model)
+        first = table.step(10, 8)
+        later = table.step(30, 8)
+        assert first.frames["S"][1] == later.frames["S"][1]
+        row = table.candidate_row(first, "S", config.s_model.trend(10) + 1)
+        again = table.candidate_row(later, "S", config.s_model.trend(30) + 1)
+        assert again is row
+        assert table.newborn_rows(later) is table.newborn_rows(first)
+
+
+    def test_entry_valve_covers_row_memos(self, monkeypatch):
+        monkeypatch.setattr(prob_table, "MAX_ENTRIES", 8)
+        config = make_config("ROOF")
+        models = {"R": config.r_model, "S": config.s_model}
+        table = ProbTable(config.r_model, config.s_model)
+        memos = (
+            table._prob,
+            table._support,
+            table._emp,
+            table._rows,
+            table._blocks,
+        )
+        for t0 in range(0, 40, 3):
+            step = table.step(t0, 4)
+            for value in range(t0 - 6, t0 + 6):
+                assert table.candidate_row(
+                    step, "S", value
+                ) == _fresh_candidate_row(models["S"], t0, 4, value)
+                assert sum(map(len, memos)) <= 9
+            assert table.newborn_rows(step) == _fresh_newborn_rows(
+                models, t0, 4
+            )
+
+
+class TestTimeKeyedModels:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            RandomWalkStream(discretized_normal(1.0), drift=0, start=0),
+            AR1Stream(phi0=1.0, phi1=0.5, sigma=1.0),
+            TabularStream([[(1, 0.5), (2, 0.25)], [], [(2, 1.0)]] * 3),
+        ],
+        ids=["random-walk", "ar1", "tabular"],
+    )
+    def test_no_frame_takes_time_keyed_path(self, model):
+        assert all(model.frame(t) is None for t in range(5))
+        table = ProbTable(model, model)
+        assert not table.framed
+        step = table.step(2, 3)
+        assert step.frames is None
+        assert table.candidate_row(step, "R", 2) == _fresh_candidate_row(
+            model, 2, 3, 2
+        )
+        assert table.newborn_rows(step) == _fresh_newborn_rows(
+            {"R": model, "S": model}, 2, 3
+        )
+
+    def test_mixed_pair_is_time_keyed(self):
+        # Row keys need both sides' frames; one unframed side keys all.
+        trend = make_config("FLOOR").r_model
+        walk = RandomWalkStream(discretized_normal(1.0))
+        assert ProbTable(trend, walk).framed is False
+
+
+class TestMemoCounters:
+    def test_warm_decision_counts_one_hit_per_row(self):
+        """A repeated framed decision: n candidate rows plus one newborn
+        block, all hits, and no primitive lookups."""
+        config = make_config("FLOOR")
+        rec = CounterRecorder()
+        engine = FlowExpectFastPath(config.r_model, config.s_model, rec)
+        candidates = [StreamTuple(u, "RS"[u % 2], 20 + u, 19) for u in range(12)]
+        engine.decide(candidates, 20, 8, 10)
+        cold = dict(rec.counters)
+        engine.decide(candidates, 20, 8, 10)
+        assert rec.counters["prob_table.hits"] - cold["prob_table.hits"] == 13
+        assert rec.counters["prob_table.misses"] == cold["prob_table.misses"]
+
+    @pytest.mark.parametrize("config_name", ["FLOOR", "WALK"])
+    def test_hit_rate_is_a_ratio(self, config_name):
+        config = make_config(config_name)
+        r, s = _config_paths(config, 80, 5)
+        rec = CounterRecorder()
+        policy = FlowExpectPolicy(4, config.r_model, config.s_model)
+        JoinSimulator(4, policy, recorder=rec).run(r, s)
+        series = rec.snapshot()["series"]["prob_table.hit_rate"]
+        assert 0.0 <= series["min"] <= series["max"] <= 1.0
+        counters = rec.counters
+        assert counters["prob_table.hits"] + counters["prob_table.misses"] > 0
+
+
+class TestFramedDecisions:
+    @pytest.mark.parametrize(
+        "config_name, cache_size, lookahead",
+        [
+            ("TOWER", 5, 4),
+            ("ROOF", 10, 8),
+            ("FLOOR", 10, 8),
+            ("FLOOR", 5, 4),
+            ("WALK", 5, 4),
+        ],
+    )
+    def test_fast_equals_reference(self, config_name, cache_size, lookahead):
+        config = make_config(config_name)
+        r, s = _config_paths(config, 60, 11)
+        runs = {}
+        for fast in (True, False):
+            policy = _SpyFlowExpect(
+                lookahead, config.r_model, config.s_model, fast=fast
+            )
+            result = JoinSimulator(cache_size, policy).run(r, s)
+            runs[fast] = (policy.decisions, result.total_results)
+        assert runs[True] == runs[False]
+        assert runs[True][0]
+
+    def test_speed_two_trend(self):
+        r_model = LinearTrendStream(bounded_uniform(4), speed=2.0, lag=1)
+        s_model = LinearTrendStream(
+            bounded_normal(4, 2.0), speed=2.0, intercept=3
+        )
+        rng = np.random.default_rng(3)
+        r = r_model.sample_path(60, rng)
+        s = s_model.sample_path(60, rng)
+        runs = {}
+        for fast in (True, False):
+            policy = _SpyFlowExpect(5, r_model, s_model, fast=fast)
+            result = JoinSimulator(6, policy).run(r, s)
+            runs[fast] = (policy.decisions, result.total_results)
+        assert runs[True] == runs[False]
+        assert runs[True][0]
