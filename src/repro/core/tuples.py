@@ -9,8 +9,10 @@ so join probing is O(matches) rather than O(cache size).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 __all__ = ["Side", "StreamTuple", "CacheState", "TupleFactory", "partner"]
 
@@ -97,11 +99,15 @@ class CacheState:
     """The set of cached tuples with value-indexed lookup.
 
     Not size-enforcing by itself -- the simulators enforce capacity after
-    asking the policy for victims; this class only maintains indexes.
+    asking the policy for victims; this class only maintains indexes
+    (by value, and a per-side count so :meth:`count_side` is O(1)).
     """
 
     _tuples: dict[int, StreamTuple] = field(default_factory=dict)
     _by_key: dict[tuple[Side, Hashable], set[int]] = field(default_factory=dict)
+    _side_counts: defaultdict[Side, int] = field(
+        default_factory=lambda: defaultdict(int)
+    )
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -119,6 +125,7 @@ class CacheState:
         if tup.uid in self._tuples:
             raise ValueError(f"tuple {tup.uid} already cached")
         self._tuples[tup.uid] = tup
+        self._side_counts[tup.side] += 1
         if tup.value is not None:
             self._by_key.setdefault((tup.side, tup.value), set()).add(tup.uid)
 
@@ -126,6 +133,7 @@ class CacheState:
         if tup.uid not in self._tuples:
             raise KeyError(f"tuple {tup.uid} not cached")
         del self._tuples[tup.uid]
+        self._side_counts[tup.side] -= 1
         if tup.value is not None:
             key = (tup.side, tup.value)
             bucket = self._by_key[key]
@@ -158,7 +166,12 @@ class CacheState:
 
     def count_side(self, side: Side) -> int:
         """Number of cached tuples from the given stream."""
-        return sum(1 for t in self._tuples.values() if t.side == side)
+        return self._side_counts.get(side, 0)
+
+    @property
+    def side_counts(self) -> Mapping[Side, int]:
+        """Cached tuples per stream, as a live read-only mapping."""
+        return MappingProxyType(self._side_counts)
 
     def expired(self, oldest_allowed_arrival: int) -> list[StreamTuple]:
         """Tuples that fell out of a sliding window (arrival too old)."""

@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..sketch import AdmissionFilter
 
 __all__ = [
+    "binary_topology",
     "PolicyContext",
     "WindowOracle",
     "ReplacementPolicy",
@@ -101,19 +102,34 @@ class WindowOracle(Protocol):
         ...
 
 
+def binary_topology(kind: str) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]]]:
+    """Stream names and partner map of a binary problem kind.
+
+    The one definition of the two fixed topologies, shared by
+    :class:`PolicyContext`, the step functions and the batch engine.
+    The names order assigns the batch side codes (R first).  Joining
+    partners R and S with each other; caching is the Theorem 1
+    reduction, in which the cached (side-S) database tuples have the
+    reference stream R as their only partner.
+    """
+    if kind == "join":
+        return ("R", "S"), {"R": ("S",), "S": ("R",)}
+    if kind == "cache":
+        return ("R", "S"), {"S": ("R",)}
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 @dataclass
 class PolicyContext:
     """Everything a policy may consult when choosing victims.
 
-    The context is *partner-aware*: a binary R/S join is the 1-partner
-    degenerate case of the general n-way topology.  When
-    :attr:`partner_names` is ``None`` the context is binary and the
-    classic ``r_*``/``s_*`` fields apply; when it is set (kind
-    ``"multi_join"``), streams are addressed by name through
-    :attr:`histories`/:attr:`models` and :meth:`partners_of` returns the
-    partners each stream joins against.  Policies written against
-    :meth:`partners_of`/:meth:`model_for`/:meth:`latest_history` work
-    unchanged on both shapes.
+    The context is *partner-aware* for every problem kind: streams are
+    addressed by name through :attr:`histories` / :attr:`models`, and
+    :meth:`partners_of` returns the streams each side joins against.
+    A binary R/S join is the 1-partner case of the n-way topology, and
+    caching is the Theorem 1 reduction (cached S tuples partnered with
+    the reference stream R); both binary kinds take their fixed partner
+    map from :func:`binary_topology`.
 
     Attributes
     ----------
@@ -125,60 +141,72 @@ class PolicyContext:
         appended to the histories.
     cache_size:
         Capacity ``k`` in tuples.
-    r_history / s_history:
-        Observed values so far (indices are time steps).  For the caching
-        problem, ``r_history`` is the reference stream and ``s_history``
-        is empty.  Unused when :attr:`partner_names` is set.
-    r_model / s_model:
-        The stochastic models, when the policy is model-aware (HEEB,
-        FlowExpect).  For caching, ``r_model`` is the reference model.
     window:
         Sliding-window length under Section-7 semantics, else ``None``.
     window_oracle:
         Value-window knowledge for the window-aware baselines.
     partner_names:
-        For n-way topologies: stream name → names of the streams it
-        joins against (one entry per query edge).  ``None`` marks a
-        binary context.
+        Stream name → names of the streams its tuples join against (one
+        entry per query edge).  Set from :func:`binary_topology` for the
+        binary kinds.
     histories:
-        For n-way topologies: stream name → observed values so far.
+        Stream name → observed values so far (indices are time steps).
+        For caching, ``"R"`` is the reference stream.
     models:
-        For n-way topologies: stream name → stochastic model, when the
-        policy is model-aware.
+        Stream name → stochastic model, for model-aware policies (HEEB,
+        FlowExpect); ``None`` means no models.  For caching, ``"R"`` is
+        the reference model.
     recorder:
         Observability sink (:mod:`repro.obs`).  Defaults to the shared
         no-op recorder; policies emitting counters or trace events must
         guard on ``recorder.enabled`` / ``recorder.trace`` so disabled
         runs stay free.
+
+    ``r_history`` / ``s_history`` / ``r_model`` / ``s_model`` are
+    read-only views of the ``"R"`` / ``"S"`` entries for the binary
+    callers that address the two streams directly.
     """
 
     kind: str
     time: int
     cache_size: int
-    r_history: list[Value] = field(default_factory=list)
-    s_history: list[Value] = field(default_factory=list)
-    r_model: Optional[StreamModel] = None
-    s_model: Optional[StreamModel] = None
     window: Optional[int] = None
     window_oracle: Optional[WindowOracle] = None
-    #: ``(t, value)`` of each side's most recent non-"−" observation,
-    #: maintained by :meth:`record_arrival`.  Markov-model anchoring
-    #: (FlowExpect) reads these in O(1) instead of rescanning the
-    #: history on every eviction.
-    r_last_obs: Optional[tuple[int, int]] = None
-    s_last_obs: Optional[tuple[int, int]] = None
     recorder: Recorder = NULL_RECORDER
-    partner_names: Optional[Mapping[str, tuple[str, ...]]] = None
-    histories: Optional[dict[str, list[Value]]] = None
-    models: Optional[Mapping[str, StreamModel]] = None
-    #: Per-stream ``(t, value)`` anchors for n-way contexts (the
-    #: name-keyed analogue of ``r_last_obs``/``s_last_obs``).
+    partner_names: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    histories: dict[str, list[Value]] = field(default_factory=dict)
+    models: Mapping[str, Optional[StreamModel]] = field(default_factory=dict)
+    #: Per-stream ``(t, value)`` of the most recent non-"−" observation,
+    #: maintained by :meth:`record_arrival`.  Markov-model anchoring
+    #: (HEEB, FlowExpect) reads these in O(1) instead of rescanning the
+    #: history on every eviction.
     last_obs: dict[str, tuple[int, int]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.kind != "multi_join":
+            self.partner_names = binary_topology(self.kind)[1]
+        if self.models is None:
+            self.models = {}
+
     @property
-    def is_multi(self) -> bool:
-        """True for n-way (name-addressed) contexts."""
-        return self.partner_names is not None
+    def r_history(self) -> list[Value]:
+        """Observed ``"R"`` values (the reference stream for caching)."""
+        return self.history_for("R")
+
+    @property
+    def s_history(self) -> list[Value]:
+        """Observed ``"S"`` values (empty for caching)."""
+        return self.history_for("S")
+
+    @property
+    def r_model(self) -> Optional[StreamModel]:
+        """Model of stream ``"R"`` (the reference model for caching)."""
+        return self.models.get("R")
+
+    @property
+    def s_model(self) -> Optional[StreamModel]:
+        """Model of stream ``"S"``."""
+        return self.models.get("S")
 
     def record_arrival(self, side: str, value: Value) -> None:
         """Append this step's arrival and update the last-observed anchor.
@@ -190,33 +218,23 @@ class PolicyContext:
         anchor — a "−" tuple is an observation that carries no value to
         condition on.
         """
-        if self.histories is not None:
-            self.histories.setdefault(side, []).append(value)
-            if value is not None:
-                self.last_obs[side] = (self.time, value)
-            return
-        if side == "R":
-            self.r_history.append(value)
-            if value is not None:
-                self.r_last_obs = (self.time, value)
-        else:
-            self.s_history.append(value)
-            if value is not None:
-                self.s_last_obs = (self.time, value)
+        try:
+            self.histories[side].append(value)
+        except KeyError:
+            self.histories[side] = [value]
+        if value is not None:
+            self.last_obs[side] = (self.time, value)
 
     def latest_history(self, side: str) -> Optional[History]:
         """Anchor for ``side``'s Markov model: its latest non-"−" value.
 
-        O(1) via the counters :meth:`record_arrival` maintains.  Falls
+        O(1) via the anchors :meth:`record_arrival` maintains.  Falls
         back to one backward scan for hand-built contexts whose histories
         were populated directly (the scan can only run while no arrival
         has ever been recorded, so it cannot reintroduce the per-eviction
         rescans this replaces).
         """
-        if self.histories is not None:
-            obs = self.last_obs.get(side)
-        else:
-            obs = self.r_last_obs if side == "R" else self.s_last_obs
+        obs = self.last_obs.get(side)
         if obs is None:
             values = self.history_for(side)
             for t in range(min(self.time, len(values) - 1), -1, -1):
@@ -228,22 +246,13 @@ class PolicyContext:
         return History(now=obs[0], last_value=obs[1])
 
     def history_for(self, side: str) -> list[Value]:
-        if self.histories is not None:
-            return self.histories.setdefault(side, [])
-        return self.r_history if side == "R" else self.s_history
-
-    def partner_history(self, side: str) -> list[Value]:
-        """History of the stream that tuples from ``side`` join against."""
-        if self.histories is not None:
-            partners = self.partners_of(side)
-            return self.history_for(partners[0]) if partners else []
-        return self.s_history if side == "R" else self.r_history
+        """Observed values of stream ``side`` (created empty on demand)."""
+        return self.histories.setdefault(side, [])
 
     def partner_model(self, side: str) -> Optional[StreamModel]:
-        if self.histories is not None:
-            partners = self.partners_of(side)
-            return self.model_for(partners[0]) if partners else None
-        return self.s_model if side == "R" else self.r_model
+        """Model of the (first) stream that ``side`` tuples join against."""
+        partners = self.partner_names.get(side)
+        return self.models.get(partners[0]) if partners else None
 
     def partners_of(self, side: str) -> tuple[str, ...]:
         """Names of the streams that ``side`` tuples join against.
@@ -251,15 +260,11 @@ class PolicyContext:
         The binary join degenerates to a single partner: ``R`` joins
         ``S`` and vice versa.
         """
-        if self.partner_names is not None:
-            return tuple(self.partner_names.get(side, ()))
-        return ("S",) if side == "R" else ("R",)
+        return tuple(self.partner_names.get(side, ()))
 
     def model_for(self, name: str) -> Optional[StreamModel]:
         """Model of stream ``name`` (binary names are ``"R"``/``"S"``)."""
-        if self.partner_names is not None:
-            return None if self.models is None else self.models.get(name)
-        return self.r_model if name == "R" else self.s_model
+        return self.models.get(name)
 
 
 class ReplacementPolicy(abc.ABC):

@@ -72,7 +72,7 @@ from ..streams.base import StreamModel
 from ..streams.linear_trend import LinearTrendStream
 from ..streams.random_walk import RandomWalkStream
 from ..streams.stationary import StationaryStream
-from .base import ReplacementPolicy, WindowOracle
+from .base import ReplacementPolicy, WindowOracle, binary_topology
 from .flowexpect_policy import FlowExpectPolicy
 from .heeb_policy import (
     AR1CacheHeeb,
@@ -122,21 +122,6 @@ NONE_VALUE = np.iinfo(np.int64).min
 #: Integer side codes used by the ``(B, slots)`` state arrays.
 R_CODE = 0
 S_CODE = 1
-
-
-def binary_topology(kind: str) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]]]:
-    """Stream names and partner map of a binary problem kind.
-
-    The names order assigns :data:`R_CODE` / :data:`S_CODE`.  Joining
-    partners R and S with each other; caching is the Theorem 1
-    reduction, in which the cached (side-S) database tuples have the
-    reference stream R as their only partner.
-    """
-    if kind == "join":
-        return ("R", "S"), {"R": ("S",), "S": ("R",)}
-    if kind == "cache":
-        return ("R", "S"), {"S": ("R",)}
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 class UnbatchablePolicyError(TypeError):
@@ -620,10 +605,11 @@ class BatchWalkJoinHeeb(BatchPolicy):
         self._tab_for_s: H1Table = strategy.table_for(r_model, "partner-of-S")
 
     def scores(self, state, t: int) -> np.ndarray:
-        no_s = state.last_s == NONE_VALUE
-        no_r = state.last_r == NONE_VALUE
-        anchor_s = np.where(no_s, 0, state.last_s)
-        anchor_r = np.where(no_r, 0, state.last_r)
+        last_r, last_s = state.last[R_CODE], state.last[S_CODE]
+        no_s = last_s == NONE_VALUE
+        no_r = last_r == NONE_VALUE
+        anchor_s = np.where(no_s, 0, last_s)
+        anchor_r = np.where(no_r, 0, last_r)
         sc_r = np.where(
             no_s[:, None], 0.0, self._tab_for_r.lookup(state.val - anchor_s[:, None])
         )
@@ -642,8 +628,9 @@ class BatchWalkCacheHeeb(BatchPolicy):
         self._table = strategy.table
 
     def scores(self, state, t: int) -> np.ndarray:
-        no_r = state.last_r == NONE_VALUE
-        anchor = np.where(no_r, 0, state.last_r)
+        last_r = state.last[R_CODE]
+        no_r = last_r == NONE_VALUE
+        anchor = np.where(no_r, 0, last_r)
         return np.where(
             no_r[:, None], 0.0, self._table.lookup(state.val - anchor[:, None])
         )
@@ -703,21 +690,30 @@ class BatchWindowedJoinHeeb(BatchPolicy):
     ``max(0, arrival + window − t)``, at most ``window + 1`` distinct
     values — rather than the value alone.  The adapter vectorizes the
     remaining-window arithmetic, extracts the distinct ``(side, value,
-    remaining)`` keys over all alive slots with ``np.unique``, calls the
-    strategy's ``windowed_h`` once per key and scatters the scores back
-    into the ``(B, slots)`` array.  ``windowed_h`` (trend or generic) is
-    what the scalar ``h_value`` calls and owns the score memo, so batch
-    scores (and the ``scores.cutoff`` series) are the scalar floats.
+    remaining)`` keys over all alive slots with ``np.unique``, sums the
+    strategy's ``windowed_h`` over the side's partners (in partner
+    order, from ``0.0``, as the scalar ``h_value`` does; one term on a
+    binary join) once per key and scatters the scores back into the
+    ``(B, slots)`` array.  ``windowed_h`` (trend or generic) owns the
+    score memo, so batch scores (and the ``scores.cutoff`` series) are
+    the scalar floats.
     """
 
     name = "HEEB"
 
     def __init__(
-        self, strategy: TrendJoinHeeb | GenericJoinHeeb, r_model, s_model, window
+        self, strategy: TrendJoinHeeb | GenericJoinHeeb, models, window
     ):
         self._strategy = strategy
-        self._partner_of = (s_model, r_model)  # indexed by R_CODE / S_CODE
+        self._models = models
         self._window = int(window)
+        self._partners: list[tuple[StreamModel, ...]] = []
+
+    def bind(self, names, partner_names) -> None:
+        self._partners = [
+            tuple(self._models[p] for p in partner_names.get(name, ()))
+            for name in names
+        ]
 
     def scores(self, state, t: int) -> np.ndarray:
         out = np.zeros(state.val.shape)
@@ -730,14 +726,14 @@ class BatchWindowedJoinHeeb(BatchPolicy):
         )
         uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
         windowed_h = self._strategy.windowed_h
-        partner_of = self._partner_of
-        scores = np.array(
-            [
-                windowed_h(partner_of[side], value, rem, t)
-                for side, value, rem in uniq.tolist()
-            ]
-        )
-        out[alive] = scores[inverse]
+        partners = self._partners
+        scores = []
+        for side, value, rem in uniq.tolist():
+            total = 0.0
+            for partner in partners[side]:
+                total += windowed_h(partner, value, rem, t)
+            scores.append(total)
+        out[alive] = np.array(scores)[inverse]
         return out
 
 
@@ -807,9 +803,11 @@ class BatchSurfaceHeeb(BatchPolicy):
     def scores(self, state, t: int) -> np.ndarray:
         # Each slot's anchor is its partner's latest observation: R for
         # cached tuples, the other side of the join otherwise.
-        anchor = state.last_r[:, None]
+        anchor = state.last[R_CODE][:, None]
         if self._kind == "join":
-            anchor = np.where(state.side == R_CODE, state.last_s[:, None], anchor)
+            anchor = np.where(
+                state.side == R_CODE, state.last[S_CODE][:, None], anchor
+            )
         anchor = np.broadcast_to(anchor, state.val.shape)
         no_anchor = anchor == NONE_VALUE
         latent = np.where(no_anchor, 0, anchor) * self._model.bucket
@@ -1173,6 +1171,19 @@ class BatchFlowExpect(BatchPolicy):
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
+def _batch_windowed(
+    policy: HeebPolicy, strategy: GenericJoinHeeb, models, window: int
+) -> BatchPolicy:
+    """Windowed generic HEEB: the per-tuple clip needs an LExp estimator."""
+    if not isinstance(strategy.estimator, LExp):
+        raise _unbatchable(
+            policy.name,
+            "its windowed form clips L per tuple, which "
+            "requires an LExp base estimator",
+        )
+    return BatchWindowedJoinHeeb(strategy, models, window)
+
+
 def _batch_heeb(
     policy: HeebPolicy,
     kind: str,
@@ -1186,6 +1197,8 @@ def _batch_heeb(
             isinstance(models.get(name), StationaryStream)
             for name in partner_names
         ):
+            if window is not None:
+                return _batch_windowed(policy, strategy, models, window)
             return BatchStationaryJoinHeeb(strategy, models, partner_names)
         raise _unbatchable(
             policy.name,
@@ -1202,7 +1215,7 @@ def _batch_heeb(
             if window is not None:
                 # The windowed branch of the scalar h_value applies at
                 # every speed; the gather replay covers it whole.
-                return BatchWindowedJoinHeeb(strategy, r_model, s_model, window)
+                return BatchWindowedJoinHeeb(strategy, models, window)
             if r_model.speed == 1.0 and s_model.speed == 1.0:
                 return BatchTrendJoinHeeb(strategy, r_model, s_model)
     elif isinstance(strategy, WalkJoinHeeb):
@@ -1237,13 +1250,7 @@ def _batch_heeb(
             and isinstance(s_model, StationaryStream)
         ):
             if window is not None:
-                if not isinstance(strategy.estimator, LExp):
-                    raise _unbatchable(
-                        policy.name,
-                        "its windowed form clips L per tuple, which "
-                        "requires an LExp base estimator",
-                    )
-                return BatchWindowedJoinHeeb(strategy, r_model, s_model, window)
+                return _batch_windowed(policy, strategy, models, window)
             return BatchStationaryJoinHeeb(strategy, models, partner_names)
     raise _unbatchable(
         policy.name,

@@ -74,7 +74,8 @@ class LrukPolicy(ScoredPolicy):
         self._consumed = 0
 
     def _sync(self, ctx: PolicyContext) -> None:
-        history = ctx.r_history
+        # References address values of stream R (the reference stream).
+        history = ctx.histories.get("R", ())
         for t in range(self._consumed, len(history)):
             v = history[t]
             if v is not None:

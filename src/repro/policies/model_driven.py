@@ -195,6 +195,6 @@ class ModelDrivenHeebPolicy(ReplacementPolicy):
         self._maybe_refit(ctx)
         if self._strategy is None:
             return self._cold_start.select_victims(candidates, n_evict, ctx)
-        shadow = replace(ctx, r_model=self._r_model, s_model=self._s_model)
+        shadow = replace(ctx, models={"R": self._r_model, "S": self._s_model})
         scores = self._strategy.h_values(candidates, shadow)
         return [tup for _, _, tup in rank_by_score(candidates, scores, n_evict)]

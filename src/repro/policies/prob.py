@@ -76,14 +76,10 @@ class ProbPolicy(ScoredPolicy):
         self._sketch_width = sketch_width
         self._sketch_depth = sketch_depth
         self._sample_size = sample_size
-        self._r_counts: _Counts = self._make_counts()
-        self._s_counts: _Counts = self._make_counts()
-        self._r_consumed = 0
-        self._s_consumed = 0
-        # Name-keyed counters for n-way contexts (binary contexts keep
-        # the dedicated R/S pair above untouched).
-        self._multi_counts: dict[str, _Counts] = {}
-        self._multi_consumed: dict[str, int] = {}
+        # Per-stream frequency counters and history cursors, keyed by
+        # stream name (one counter per context stream at reset).
+        self._counts: dict[str, _Counts] = {}
+        self._consumed: dict[str, int] = {}
 
     def _make_counts(self) -> _Counts:
         if self.counts == "sketch":
@@ -99,64 +95,39 @@ class ProbPolicy(ScoredPolicy):
         return _ExactCounts()
 
     def reset(self, ctx: PolicyContext) -> None:
-        self._r_counts = self._make_counts()
-        self._s_counts = self._make_counts()
-        self._r_consumed = 0
-        self._s_consumed = 0
-        self._multi_counts = {}
-        self._multi_consumed = {}
+        self._counts = {name: self._make_counts() for name in ctx.histories}
+        self._consumed = {}
 
     def _sync_counts(self, ctx: PolicyContext) -> None:
         """Fold newly observed history entries into the frequency counters.
 
-        R and S consumption is tracked with *independent* cursors: the
-        simulators feed equal-length histories, but partner-aware and
-        replayed contexts may not, and a single shared cursor silently
-        skipped ``s_history`` entries past ``len(r_history)`` forever.
+        Each stream's consumption is tracked with its own cursor: the
+        simulators feed equal-length histories, but replayed contexts
+        may not, and a single shared cursor would silently skip the
+        entries of a longer history forever.
         """
         consumed = False
-        if ctx.histories is not None:
-            for name, history in ctx.histories.items():
-                counts = self._multi_counts.setdefault(
-                    name, self._make_counts()
-                )
-                start = self._multi_consumed.get(name, 0)
-                n = len(history)
+        for name, history in ctx.histories.items():
+            start = self._consumed.get(name, 0)
+            n = len(history)
+            if n > start:
+                counts = self._counts.get(name)
+                if counts is None:
+                    counts = self._counts[name] = self._make_counts()
                 for t in range(start, n):
                     v = history[t]
                     if v is not None:
                         counts.increment(v)
-                if n > start:
-                    consumed = True
-                self._multi_consumed[name] = n
-        else:
-            r_hist, s_hist = ctx.r_history, ctx.s_history
-            n_r = len(r_hist)
-            for t in range(self._r_consumed, n_r):
-                v = r_hist[t]
-                if v is not None:
-                    self._r_counts.increment(v)
-            n_s = len(s_hist)
-            for t in range(self._s_consumed, n_s):
-                w = s_hist[t]
-                if w is not None:
-                    self._s_counts.increment(w)
-            consumed = n_r > self._r_consumed or n_s > self._s_consumed
-            self._r_consumed = n_r
-            self._s_consumed = n_s
+                consumed = True
+                self._consumed[name] = n
         if consumed and self.counts != "exact" and ctx.recorder.enabled:
             ctx.recorder.series("sketch.fill", ctx.time, self._sketch_fill())
-
-    def _active_sketches(self) -> list[_Counts]:
-        if self._multi_counts:
-            return list(self._multi_counts.values())
-        return [self._r_counts, self._s_counts]
 
     def _sketch_fill(self) -> float:
         """Mean fill ratio over the sketches that have absorbed events."""
         fills = [
             sk.fill_ratio()
-            for sk in self._active_sketches()
+            for sk in self._counts.values()
             if not isinstance(sk, _ExactCounts) and sk.total > 0
         ]
         return sum(fills) / len(fills) if fills else 0.0
@@ -165,7 +136,7 @@ class ProbPolicy(ScoredPolicy):
         """Bytes held by the sketch back-ends (0 in exact mode)."""
         return sum(
             sk.memory_bytes()
-            for sk in self._active_sketches()
+            for sk in self._counts.values()
             if not isinstance(sk, _ExactCounts)
         )
 
@@ -176,9 +147,7 @@ class ProbPolicy(ScoredPolicy):
         if self.counts != "exact":
             state["counts"] = {
                 "mode": self.counts,
-                "r": self._r_counts,
-                "s": self._s_counts,
-                "multi": dict(self._multi_counts),
+                "streams": dict(self._counts),
             }
         return state or None
 
@@ -192,31 +161,22 @@ class ProbPolicy(ScoredPolicy):
             return
         if donor.get("mode") != self.counts:
             return
-        if donor["r"] is not self._r_counts:
-            self._r_counts.merge(donor["r"])
-        if donor["s"] is not self._s_counts:
-            self._s_counts.merge(donor["s"])
-        for name, counts in donor["multi"].items():
-            mine = self._multi_counts.setdefault(name, self._make_counts())
+        for name, counts in donor["streams"].items():
+            mine = self._counts.setdefault(name, self._make_counts())
             if mine is not counts:
                 mine.merge(counts)
 
     def frequency(self, tup: StreamTuple, ctx: PolicyContext) -> int:
         """Observed occurrences of the tuple's value in the stream it matches.
 
-        On n-way topologies a tuple matches arrivals of *every* partner
-        stream, so its frequency sums the partner counts.
+        A tuple matches arrivals of *every* partner stream, so its
+        frequency sums the partner counts: the other side of a binary
+        join, the reference stream R for cached database tuples.
         """
-        if ctx.histories is not None:
-            return sum(
-                self._multi_counts.get(name, _EMPTY_COUNTER)[tup.value]
-                for name in ctx.partners_of(tup.side)
-            )
-        if ctx.kind == "cache":
-            # Database tuples are referenced by the reference stream R.
-            return self._r_counts[tup.value]
-        counts = self._s_counts if tup.side == "R" else self._r_counts
-        return counts[tup.value]
+        total = 0
+        for name in ctx.partner_names.get(tup.side, ()):
+            total += self._counts.get(name, _EMPTY_COUNTER)[tup.value]
+        return total
 
     def score(self, tup: StreamTuple, ctx: PolicyContext) -> float:
         self._sync_counts(ctx)

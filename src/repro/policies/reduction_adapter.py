@@ -62,7 +62,7 @@ class ReducedJoiningPolicy(ReplacementPolicy):
             kind="cache",
             time=-1,
             cache_size=ctx.cache_size,
-            r_model=ctx.r_model,
+            models={"R": ctx.r_model},
         )
         self._inner.reset(self._inner_ctx)
 

@@ -100,12 +100,11 @@ class TrieCachePolicy(ReplacementPolicy):
     # ------------------------------------------------------------------
     def reset(self, ctx: PolicyContext) -> None:
         """Derive the trie levels from the topology and equalize budgets."""
-        if ctx.partner_names is not None:
-            self._levels = tuple(ctx.partner_names)
-        elif ctx.kind == "cache":
+        # Caching keeps the single reference-stream level.
+        if ctx.kind == "cache":
             self._levels = ("R",)
         else:
-            self._levels = ("R", "S")
+            self._levels = tuple(ctx.partner_names)
         self._pressure = {name: 0.0 for name in self._levels}
         self._shares = {
             name: 1.0 / len(self._levels) for name in self._levels

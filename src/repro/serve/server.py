@@ -58,19 +58,16 @@ from ..core.tuples import StreamTuple, TupleFactory
 from ..obs.hist import HistogramSet, LogHistogram
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..obs.spans import SERVE_SPAN_PREFIX, SpanTracker
-from ..policies.base import ReplacementPolicy
+from ..policies.base import ReplacementPolicy, binary_topology
 from ..sim.engine import ExperimentSpec
 from ..sim.step import (
     CacheStepState,
-    JoinStepState,
     MultiJoinStepState,
     build_multi_join_state,
     cache_step,
-    join_step,
     make_cache_state,
     make_join_state,
     multi_join_step,
-    multi_partner_names,
 )
 from ..streams.base import Value
 from .shard import ShardRouter, reshard as reshard_tuples
@@ -96,15 +93,15 @@ class Shard:
 
     Created and owned by :class:`StreamServer`; exposed read-only for
     inspection (tests, stats).  ``state`` is a
-    :class:`~repro.sim.step.JoinStepState`,
-    :class:`~repro.sim.step.CacheStepState`, or
-    :class:`~repro.sim.step.MultiJoinStepState`.
+    :class:`~repro.sim.step.MultiJoinStepState` (both join kinds; the
+    binary join is the 2-stream topology ``R⋈S``) or a
+    :class:`~repro.sim.step.CacheStepState`.
     """
 
     def __init__(
         self,
         index: int,
-        state: Union[JoinStepState, CacheStepState, MultiJoinStepState],
+        state: Union[MultiJoinStepState, CacheStepState],
         queue_maxsize: int,
     ):
         """Bind the shard's index, step state, and bounded queue."""
@@ -183,25 +180,15 @@ class StreamServer:
         step_delay: float = 0.0,
     ):
         """Validate the spec and build the (not yet started) shards."""
-        if spec.kind not in ("join", "cache", "multi_join"):
-            raise ValueError(
-                "StreamServer serves 'join', 'cache', or 'multi_join' "
-                f"specs, not {spec.kind!r}"
-            )
         if spec.kind == "multi_join":
-            partner_names = multi_partner_names(spec.queries)
-            if spec.models:
-                names = list(spec.models)
-            else:
-                names = []
-                for a, b in spec.queries:
-                    for name in (a, b):
-                        if name not in names:
-                            names.append(name)
-            missing = set(partner_names) - set(names)
-            if missing:
-                raise ValueError(f"queries reference unknown streams {missing}")
-            self._names: tuple[str, ...] = tuple(names)
+            # The query streams in first-mention order, unless the models
+            # name the streams (shard construction rejects a query naming
+            # an unknown stream).
+            self._names: tuple[str, ...] = tuple(
+                spec.models or dict.fromkeys(n for q in spec.queries for n in q)
+            )
+        elif spec.kind == "join":
+            self._names = binary_topology("join")[0]
         else:
             self._names = ()
         if queue_maxsize < 1:
@@ -251,7 +238,7 @@ class StreamServer:
         else:
             shard_recorder = self._recorder.fork()
         spec = self._spec
-        state: Union[JoinStepState, CacheStepState, MultiJoinStepState]
+        state: Union[MultiJoinStepState, CacheStepState]
         if spec.kind == "join":
             state = make_join_state(
                 spec.cache_size,
@@ -269,6 +256,8 @@ class StreamServer:
                 self._policy_factory(),
                 spec.queries,
                 list(self._names),
+                window=spec.window,
+                band=spec.band,
                 models=spec.models,
                 recorder=shard_recorder,
             )
@@ -296,8 +285,8 @@ class StreamServer:
 
     @property
     def names(self) -> tuple[str, ...]:
-        """Stream names served, in arrival order (multi-join kind;
-        empty for join/cache)."""
+        """Stream names served, in arrival order (``("R", "S")`` for the
+        binary join; empty for caching)."""
         return self._names
 
     @property
@@ -368,12 +357,12 @@ class StreamServer:
         return sum(
             s.state.total_results
             for s in self._shards
-            if isinstance(s.state, (JoinStepState, MultiJoinStepState))
+            if isinstance(s.state, MultiJoinStepState)
         )
 
     def per_query_results(self) -> dict[frozenset, int]:
         """Results attributed per query pair, summed over shards
-        (multi-join kind only)."""
+        (join kinds; the binary join's one query is ``R⋈S``)."""
         out: dict[frozenset, int] = {}
         for s in self._shards:
             if isinstance(s.state, MultiJoinStepState):
@@ -472,7 +461,9 @@ class StreamServer:
         guarded on the shard tracker's ``active`` flag so a disabled
         run reads no clocks at all.
         """
-        kind = self._spec.kind
+        # One step call per kind of transition: both join kinds run the
+        # shared join step, caching its own.
+        step = cache_step if self._spec.kind == "cache" else multi_join_step
         delay = self._step_delay
         recorder = shard.state.recorder
         spans = shard.spans
@@ -490,18 +481,8 @@ class StreamServer:
                             "queue_wait", event[0], (t0 - enq_ts) * 1000.0
                         )
                     t0 = perf_counter()
-                if kind == "join":
-                    t, r_val, s_val = event[0], event[1], event[2]
-                    assert isinstance(shard.state, JoinStepState)
-                    join_step(shard.state, t, r_val, s_val)
-                elif kind == "multi_join":
-                    t, arrivals = event[0], event[1]
-                    assert isinstance(shard.state, MultiJoinStepState)
-                    multi_join_step(shard.state, t, arrivals)
-                else:
-                    t, value = event[0], event[1]
-                    assert isinstance(shard.state, CacheStepState)
-                    cache_step(shard.state, t, value)
+                t = event[0]
+                step(shard.state, t, event[1])
                 shard.events_applied += 1
                 if spans_on:
                     t1 = perf_counter()
@@ -582,12 +563,8 @@ class StreamServer:
     async def submit(self, step: int, r_value: Value, s_value: Value) -> None:
         """Push one join tick: the step's R and S arrivals (``None`` = "−").
 
-        With one shard the tick is delivered whole — even a double-"−"
-        tick — so the shard observes exactly the simulator's input.
-        With many shards arrivals route by join value; a tick whose R
-        and S land on different shards is split into per-side events
-        (the absent side delivered as "−"), and "−" arrivals are not
-        delivered at all (they carry no key and join nothing).
+        The binary join is the 2-stream topology ``R⋈S``, so the tick is
+        delivered exactly as :meth:`submit_multi` delivers one.
         """
         self._check_accepting()
         if self._spec.kind != "join":
@@ -596,29 +573,8 @@ class StreamServer:
                 "or submit_multi()"
             )
         with self._spans.span("submit", step):
-            self.ingested_arrivals += (r_value is not None) + (
-                s_value is not None
-            )
-            if self._router.n_shards == 1:
-                await self._enqueue(self._shards[0], (step, r_value, s_value))
-                return
-            events: dict[int, list[Value]] = {}
-            with self._spans.span("route", step):
-                if r_value is not None:
-                    events.setdefault(
-                        self._router.shard_for(r_value), [None, None]
-                    )[0] = r_value
-                if s_value is not None:
-                    events.setdefault(
-                        self._router.shard_for(s_value), [None, None]
-                    )[1] = s_value
-            if not events:
-                if self._recorder.enabled:
-                    self._recorder.count("serve.null_ticks")
-                return
-            for index in sorted(events):
-                r_val, s_val = events[index]
-                await self._enqueue(self._shards[index], (step, r_val, s_val))
+            for shard, values in self._route(step, (r_value, s_value)):
+                await self._enqueue(shard, (step, values))
 
     async def submit_reference(self, step: int, value: Value) -> None:
         """Push one caching-problem reference (``None`` = skipped "−")."""
@@ -643,13 +599,6 @@ class StreamServer:
         """Push one multi-join tick: arrivals keyed by stream name.
 
         Streams absent from ``arrivals`` are treated as "−" (``None``).
-        With one shard the tick is delivered whole, normalized over the
-        server's stream set, so the shard observes exactly the scalar
-        simulator's input.  With many shards each non-"−" arrival routes
-        by its join value — every query edge probes the same attribute,
-        so all of a value's matches stay intra-shard — and arrivals
-        landing on the same shard share one event; an all-"−" tick is
-        not delivered at all (``serve.null_ticks``).
         """
         self._check_accepting()
         if self._spec.kind != "multi_join":
@@ -657,32 +606,36 @@ class StreamServer:
         unknown = set(arrivals) - set(self._names)
         if unknown:
             raise ValueError(f"arrivals for unknown streams {sorted(unknown)}")
+        values = tuple(arrivals.get(name) for name in self._names)
         with self._spans.span("submit", step):
-            self.ingested_arrivals += sum(
-                v is not None for v in arrivals.values()
-            )
-            if self._router.n_shards == 1:
-                tick = {name: arrivals.get(name) for name in self._names}
-                await self._enqueue(self._shards[0], (step, tick))
-                return
-            events: dict[int, dict[str, Value]] = {}
-            with self._spans.span("route", step):
-                for name in self._names:
-                    value = arrivals.get(name)
-                    if value is None:
-                        continue
+            for shard, shard_values in self._route(step, values):
+                await self._enqueue(shard, (step, shard_values))
+
+    def _route(self, step: int, values: tuple) -> list:
+        """Split one join tick, ``values`` in :attr:`names` order, into
+        ``(shard, values)`` deliveries.
+
+        With one shard the tick is delivered whole, normalized over the
+        server's stream set — even an all-"−" tick — so the shard
+        observes exactly the scalar simulator's input.  With many shards
+        each non-"−" arrival routes by its join value — every query edge
+        probes the same attribute, so all of a value's matches stay
+        intra-shard — and arrivals landing on the same shard share one
+        delivery, the absent streams as "−"; an all-"−" tick is not
+        delivered at all (``serve.null_ticks``).
+        """
+        self.ingested_arrivals += len(values) - values.count(None)
+        if self._router.n_shards == 1:
+            return [(self._shards[0], values)]
+        events: dict[int, list[Value]] = {}
+        with self._spans.span("route", step):
+            for i, value in enumerate(values):
+                if value is not None:
                     index = self._router.shard_for(value)
-                    events.setdefault(
-                        index, {n: None for n in self._names}
-                    )[name] = value
-            if not events:
-                if self._recorder.enabled:
-                    self._recorder.count("serve.null_ticks")
-                return
-            for index in sorted(events):
-                await self._enqueue(
-                    self._shards[index], (step, events[index])
-                )
+                    events.setdefault(index, [None] * len(values))[i] = value
+        if not events and self._recorder.enabled:
+            self._recorder.count("serve.null_ticks")
+        return [(self._shards[index], events[index]) for index in sorted(events)]
 
     # ------------------------------------------------------------------
     # Drain / stop

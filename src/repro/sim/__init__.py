@@ -24,12 +24,8 @@ from .engine import (
 from .batch import (
     BatchCacheRunResult,
     BatchCacheSimulator,
-    BatchJoinRunResult,
-    BatchJoinSimulator,
     BatchState,
-    generate_paths_arrays,
     generate_reference_array,
-    paths_to_arrays,
     values_to_array,
 )
 from .cache_sim import CacheRunResult, CacheSimulator
@@ -43,15 +39,12 @@ from .multi_join import (
 from .step import (
     CacheStepOutcome,
     CacheStepState,
-    JoinStepOutcome,
-    JoinStepState,
     MultiJoinStepOutcome,
     MultiJoinStepState,
     cache_step,
     join_step,
     make_cache_state,
     make_join_state,
-    make_multi_join_state,
     multi_join_step,
 )
 from .runner import (
@@ -85,12 +78,8 @@ __all__ = [
     "select_engine",
     "BatchCacheRunResult",
     "BatchCacheSimulator",
-    "BatchJoinRunResult",
-    "BatchJoinSimulator",
     "BatchState",
-    "generate_paths_arrays",
     "generate_reference_array",
-    "paths_to_arrays",
     "values_to_array",
     "CacheExperimentResult",
     "CacheRunResult",
@@ -108,15 +97,12 @@ __all__ = [
     "solve_opt_offline_multi",
     "CacheStepOutcome",
     "CacheStepState",
-    "JoinStepOutcome",
-    "JoinStepState",
     "MultiJoinStepOutcome",
     "MultiJoinStepState",
     "cache_step",
     "join_step",
     "make_cache_state",
     "make_join_state",
-    "make_multi_join_state",
     "multi_join_step",
     "spawn_rng",
     "spawn_seed",

@@ -16,20 +16,23 @@ suite (``tests/test_batch_equivalence.py``) pins every supported policy
 to it — and the batch path is a drop-in accelerator selected with
 ``engine="batch"`` on the runner entry points.
 
-The three simulators share one set of policy adapters
+Like the scalar tier, the batch tier has one join transition and one
+caching transition.  :class:`BatchMultiJoinSimulator` runs any query
+topology, with sliding windows and band joins; the binary join is its
+2-stream topology ``R⋈S``.  :class:`BatchCacheSimulator` runs the
+caching problem.  Both share one set of policy adapters
 (:mod:`repro.policies.batch`): each binds its adapter to its topology
-before a run — the join to streams R/S partnered with each other, the
-cache to the Theorem 1 reduction (cached side S, partner R), the
-n-way join to its query graph — and hands ``begin_step`` one value
-column per stream.  Trials advance in lock-step, so every trial of a
-run must have the same length; ragged trials belong on the scalar or
-parallel tier.
+before a run — the query graph for joins, the Theorem 1 reduction
+(cached side S, partner R) for caching — and hands ``begin_step`` one
+value column per stream.  Trials advance in lock-step, so every trial
+of a run must have the same length; ragged trials belong on the scalar
+or parallel tier.
 
 Layout invariants the engine maintains:
 
 * alive tuples occupy a prefix of each row, in *candidate order* — the
-  scalar cache's dict insertion order followed by this step's new R then
-  new S arrival — so per-slot positions line up with the scalar
+  scalar cache's dict insertion order followed by this step's arrivals
+  in stream order — so per-slot positions line up with the scalar
   candidate lists;
 * compaction (window expiry, eviction) is a stable partition, applied in
   lockstep to policy auxiliary arrays, so relative order is preserved
@@ -47,30 +50,22 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..policies.batch import (
-    NONE_VALUE,
-    R_CODE,
-    S_CODE,
-    BatchPolicy,
-    binary_topology,
-)
+from ..policies.base import binary_topology
+from ..policies.batch import NONE_VALUE, R_CODE, S_CODE, BatchPolicy
 from ..streams.base import StreamModel, Value
 from .cache_sim import CacheRunResult
 from .join_sim import JoinRunResult
-from .step import multi_partner_names
+from .multi_join import MultiJoinRunResult
+from .step import check_run_params, multi_partner_names
 
 __all__ = [
     "BatchState",
-    "BatchJoinRunResult",
     "BatchCacheRunResult",
     "BatchMultiJoinRunResult",
-    "BatchJoinSimulator",
     "BatchCacheSimulator",
     "BatchMultiJoinSimulator",
     "values_to_array",
-    "paths_to_arrays",
     "streams_to_arrays",
-    "generate_paths_arrays",
     "generate_reference_array",
 ]
 
@@ -79,11 +74,12 @@ __all__ = [
 class BatchState:
     """Slot arrays for ``B`` trials × ``slots`` cache positions.
 
-    ``alive`` marks occupied slots; dead slots hold stale garbage and
-    must be masked in every read.  ``last_r`` / ``last_s`` carry the most
-    recent non-``None`` observation of each stream per trial (the
-    ``x_{t0}`` anchors of Theorem 5), :data:`NONE_VALUE` before the
-    first one.
+    ``alive`` marks occupied slots (a prefix of each row, ``count``
+    long); dead slots hold stale garbage and must be masked in every
+    read.  ``next_uid`` is each trial's next tuple uid.  ``last[code]``
+    carries stream ``code``'s most recent non-``None`` observation per
+    trial (the ``x_{t0}`` anchors of Theorem 5), :data:`NONE_VALUE`
+    before the first one.
     """
 
     val: np.ndarray
@@ -91,11 +87,12 @@ class BatchState:
     arr: np.ndarray
     uid: np.ndarray
     alive: np.ndarray
-    last_r: np.ndarray
-    last_s: np.ndarray
+    count: np.ndarray
+    next_uid: np.ndarray
+    last: np.ndarray
 
     @classmethod
-    def empty(cls, n_trials: int, n_slots: int) -> "BatchState":
+    def empty(cls, n_trials: int, n_slots: int, n_streams: int) -> "BatchState":
         """All-empty state for ``n_trials`` caches of ``n_slots`` slots."""
         return cls(
             val=np.zeros((n_trials, n_slots), dtype=np.int64),
@@ -103,8 +100,9 @@ class BatchState:
             arr=np.zeros((n_trials, n_slots), dtype=np.int64),
             uid=np.zeros((n_trials, n_slots), dtype=np.int64),
             alive=np.zeros((n_trials, n_slots), dtype=bool),
-            last_r=np.full(n_trials, NONE_VALUE, dtype=np.int64),
-            last_s=np.full(n_trials, NONE_VALUE, dtype=np.int64),
+            count=np.zeros(n_trials, dtype=np.int64),
+            next_uid=np.zeros(n_trials, dtype=np.int64),
+            last=np.full((n_streams, n_trials), NONE_VALUE, dtype=np.int64),
         )
 
     def compact(self, keep: np.ndarray, aux: tuple[np.ndarray, ...]) -> None:
@@ -118,41 +116,29 @@ class BatchState:
         for a in (self.val, self.side, self.arr, self.uid, *aux):
             a[:] = np.take_along_axis(a, perm, axis=1)
         self.alive[:] = np.take_along_axis(keep, perm, axis=1)
+        self.count = self.alive.sum(axis=1)
+
+    def append(self, rows, code: int, values, t: int) -> np.ndarray:
+        """Mint tuples at the first free slot of each trial in ``rows``.
+
+        Arrivals are appended in candidate order, so per-slot positions
+        keep lining up with the scalar candidate lists; each gets its
+        trial's next uid.  Returns the slots written.
+        """
+        slots = self.count[rows]
+        self.val[rows, slots] = values
+        self.side[rows, slots] = code
+        self.arr[rows, slots] = t
+        self.uid[rows, slots] = self.next_uid[rows]
+        self.alive[rows, slots] = True
+        self.next_uid[rows] += 1
+        self.count[rows] += 1
+        return slots
 
 
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
-@dataclass
-class BatchJoinRunResult:
-    """Per-trial outcomes of one batched joining run (arrays over B)."""
-
-    total_results: np.ndarray
-    results_after_warmup: np.ndarray
-    steps: int
-    warmup: int
-    cache_size: int
-    #: ``(B, steps)`` cached-R counts after each step's evictions.
-    r_occupancy: np.ndarray
-    #: ``(B, steps)`` total occupancy after each step's evictions.
-    occupancy: np.ndarray
-
-    def unbatch(self) -> list[JoinRunResult]:
-        """Split into scalar-compatible per-trial results."""
-        return [
-            JoinRunResult(
-                total_results=int(self.total_results[b]),
-                results_after_warmup=int(self.results_after_warmup[b]),
-                steps=self.steps,
-                warmup=self.warmup,
-                cache_size=self.cache_size,
-                r_occupancy=self.r_occupancy[b].copy(),
-                occupancy=self.occupancy[b].copy(),
-            )
-            for b in range(self.total_results.size)
-        ]
-
-
 @dataclass
 class BatchCacheRunResult:
     """Per-trial outcomes of one batched caching run (arrays over B).
@@ -191,7 +177,7 @@ class BatchCacheRunResult:
 
 @dataclass
 class BatchMultiJoinRunResult:
-    """Per-trial outcomes of one batched multi-join run (arrays over B)."""
+    """Per-trial outcomes of one batched join run (arrays over B)."""
 
     total_results: np.ndarray
     results_after_warmup: np.ndarray
@@ -204,13 +190,34 @@ class BatchMultiJoinRunResult:
     per_query: np.ndarray
     #: stream name -> ``(B, steps)`` cached-tuple counts after each step.
     occupancy_by_stream: dict[str, np.ndarray]
-    #: Slot arrays after the last step (final-cache parity checks).
-    final_state: BatchState
+    #: The run was the binary join ``R⋈S`` (see
+    #: :class:`BatchMultiJoinSimulator`).
+    binary: bool = False
 
     def unbatch(self) -> list:
-        """Split into scalar-compatible per-trial results."""
-        from .multi_join import MultiJoinRunResult
+        """Split into scalar-compatible per-trial results.
 
+        A binary run yields :class:`~repro.sim.join_sim.JoinRunResult`\ s,
+        as :class:`~repro.sim.join_sim.JoinSimulator` returns; any other
+        topology yields
+        :class:`~repro.sim.multi_join.MultiJoinRunResult`\ s.
+        """
+        n_trials = self.total_results.size
+        if self.binary:
+            r_occupancy = self.occupancy_by_stream["R"]
+            occupancy = r_occupancy + self.occupancy_by_stream["S"]
+            return [
+                JoinRunResult(
+                    total_results=int(self.total_results[b]),
+                    results_after_warmup=int(self.results_after_warmup[b]),
+                    steps=self.steps,
+                    warmup=self.warmup,
+                    cache_size=self.cache_size,
+                    r_occupancy=r_occupancy[b].copy(),
+                    occupancy=occupancy[b],
+                )
+                for b in range(n_trials)
+            ]
         return [
             MultiJoinRunResult(
                 total_results=int(self.total_results[b]),
@@ -227,7 +234,7 @@ class BatchMultiJoinRunResult:
                     for name, occ in self.occupancy_by_stream.items()
                 },
             )
-            for b in range(self.total_results.size)
+            for b in range(n_trials)
         ]
 
 
@@ -272,22 +279,6 @@ def values_to_array(paths: Sequence[Sequence[Value]]) -> np.ndarray:
     return _stack(paths, _lockstep_length([len(p) for p in paths]))
 
 
-def paths_to_arrays(
-    paths: Sequence[tuple[Sequence[Value], Sequence[Value]]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``(r, s)`` path pairs into two ``(B, n)`` arrays.
-
-    Each trial runs for ``min(len(r), len(s))`` steps, the scalar
-    simulator's convention, so a trial's longer side is truncated; the
-    per-trial lengths must agree (``ValueError`` otherwise).
-    """
-    if not paths:
-        empty = np.zeros((0, 0), dtype=np.int64)
-        return empty, empty
-    n = _lockstep_length([min(len(r), len(s)) for r, s in paths])
-    return _stack([p[0] for p in paths], n), _stack([p[1] for p in paths], n)
-
-
 def streams_to_arrays(
     data: Sequence[Mapping[str, Sequence[Value]]],
 ) -> dict[str, np.ndarray]:
@@ -313,24 +304,6 @@ def streams_to_arrays(
         [min(len(seq) for seq in item.values()) for item in data]
     )
     return {name: _stack([item[name] for item in data], n) for name in names}
-
-
-def generate_paths_arrays(
-    r_model: StreamModel,
-    s_model: StreamModel,
-    length: int,
-    n_runs: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`repro.sim.runner.generate_paths`.
-
-    Consumes the per-run generators identically (same ``seed + run``
-    seeding, R drawn before S from the same generator), so trial ``b``
-    sees exactly the path scalar run ``b`` sees.
-    """
-    from .runner import generate_paths
-
-    return paths_to_arrays(generate_paths(r_model, s_model, length, n_runs, seed))
 
 
 def generate_reference_array(
@@ -375,6 +348,17 @@ def _select_victims(
             col = order[b, n_evict[b] - 1]
             cutoff_log[b].append((t, float(scores[b, col])))
     return (ranks < n_evict[:, None]) & state.alive
+
+
+def _evict(policy, state, k, t, cutoff_log, aux) -> int:
+    """Evict each trial down to ``k`` tuples; returns the victim count."""
+    n_evict = np.maximum(state.count - k, 0)
+    if n_evict.any():
+        victims = _select_victims(policy, state, n_evict, t, cutoff_log)
+        if victims.any():
+            state.compact(state.alive & ~victims, aux)
+            return int(victims.sum())
+    return 0
 
 
 def _cutoff_log_for(
@@ -422,219 +406,6 @@ def _emit_policy_series(
 # ----------------------------------------------------------------------
 # Engines
 # ----------------------------------------------------------------------
-class BatchJoinSimulator:
-    """Vectorized counterpart of :class:`~repro.sim.join_sim.JoinSimulator`.
-
-    Takes a :class:`~repro.policies.batch.BatchPolicy` (built by
-    :func:`~repro.policies.batch.make_batch_policy`) and ``(B, n)`` value
-    arrays; every step performs the scalar simulator's phases — window
-    expiry, probing, arrival, eviction — as whole-array operations.
-
-    An enabled ``recorder`` receives counters aggregated over the whole
-    batch (``sim.steps``, ``arrivals.*``, ``join.results``,
-    ``evict.<policy_name>``, ``evict.window_expired``) that equal the
-    sum a scalar recorder would collect over the same trials.  Per-step
-    trace events are not emitted — trace with the scalar engine for
-    per-tuple visibility.
-    """
-
-    def __init__(
-        self,
-        cache_size: int,
-        policy: BatchPolicy,
-        warmup: int = 0,
-        window: int | None = None,
-        band: int = 0,
-        recorder: Recorder = NULL_RECORDER,
-        policy_name: str = "policy",
-    ):
-        """Validate and bind the join parameters shared by every trial."""
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
-        if warmup < 0:
-            raise ValueError("warmup must be nonnegative")
-        if window is not None and window < 0:
-            raise ValueError("window must be nonnegative")
-        if band < 0:
-            raise ValueError("band must be nonnegative")
-        self._cache_size = cache_size
-        self._policy = policy
-        self._warmup = warmup
-        self._window = window
-        self._band = band
-        self._recorder = recorder
-        self._policy_name = policy_name
-
-    def run(self, r_paths: np.ndarray, s_paths: np.ndarray) -> BatchJoinRunResult:
-        """Simulate every trial in lock-step over ``(B, n)`` value paths."""
-        r_paths = np.asarray(r_paths, dtype=np.int64)
-        s_paths = np.asarray(s_paths, dtype=np.int64)
-        if r_paths.shape != s_paths.shape or r_paths.ndim != 2:
-            raise ValueError("r_paths and s_paths must be matching (B, n) arrays")
-        n_trials, n = r_paths.shape
-        k = self._cache_size
-        # ≤ k survivors from the previous step plus one arrival per side.
-        state = BatchState.empty(n_trials, k + 2)
-        self._policy.bind(*binary_topology("join"))
-        self._policy.reset(n_trials, k + 2)
-        aux = self._policy.aux_arrays()
-
-        counts = np.zeros(n_trials, dtype=np.int64)
-        uid_next = np.zeros(n_trials, dtype=np.int64)
-        total = np.zeros(n_trials, dtype=np.int64)
-        after_warmup = np.zeros(n_trials, dtype=np.int64)
-        r_occupancy = np.zeros((n_trials, n), dtype=np.int64)
-        occupancy = np.zeros((n_trials, n), dtype=np.int64)
-
-        rec = self._recorder
-        rec_on = rec.enabled
-        expired_total = 0
-        evicted_total = 0
-        # Per-step results, kept only to replay the scalar series exactly.
-        results_log = np.zeros((n_trials, n), dtype=np.int64) if rec_on else None
-        cutoff_log = _cutoff_log_for(self._policy, rec_on, n_trials)
-
-        for t in range(n):
-            r_vals = r_paths[:, t]
-            s_vals = s_paths[:, t]
-            has_r = r_vals != NONE_VALUE
-            has_s = s_vals != NONE_VALUE
-            state.last_r[has_r] = r_vals[has_r]
-            state.last_s[has_s] = s_vals[has_s]
-            self._policy.begin_step(state, t, (r_vals, s_vals))
-
-            # Sliding-window expiry: free removal of dead tuples.
-            if self._window is not None:
-                expired = state.alive & (state.arr < t - self._window)
-                if expired.any():
-                    if rec_on:
-                        expired_total += int(expired.sum())
-                    state.compact(state.alive & ~expired, aux)
-                    counts = state.alive.sum(axis=1)
-
-            # New arrivals join cached partner tuples (same-step arrivals
-            # never join each other — they are appended only afterwards).
-            r_safe = np.where(has_r, r_vals, 0)
-            s_safe = np.where(has_s, s_vals, 0)
-            if self._band == 0:
-                near_r = state.val == r_safe[:, None]
-                near_s = state.val == s_safe[:, None]
-            else:
-                near_r = np.abs(state.val - r_safe[:, None]) <= self._band
-                near_s = np.abs(state.val - s_safe[:, None]) <= self._band
-            m_r = state.alive & (state.side == S_CODE) & has_r[:, None] & near_r
-            m_s = state.alive & (state.side == R_CODE) & has_s[:, None] & near_s
-            step_results = m_r.sum(axis=1) + m_s.sum(axis=1)
-            total += step_results
-            if results_log is not None:
-                results_log[:, t] = step_results
-            if t >= self._warmup:
-                after_warmup += step_results
-            referenced = m_r | m_s
-            if referenced.any():
-                self._policy.on_reference(state, referenced, t)
-
-            # Append arrivals in candidate order: new R, then new S.
-            for side_code, has, vals in (
-                (R_CODE, has_r, r_vals),
-                (S_CODE, has_s, s_vals),
-            ):
-                rows = np.flatnonzero(has)
-                if rows.size == 0:
-                    continue
-                cols = counts[rows]
-                state.val[rows, cols] = vals[rows]
-                state.side[rows, cols] = side_code
-                state.arr[rows, cols] = t
-                state.uid[rows, cols] = uid_next[rows]
-                state.alive[rows, cols] = True
-                uid_next[rows] += 1
-                counts[rows] += 1
-                self._policy.on_admit(state, rows, cols, side_code, vals[rows], t)
-
-            n_evict = np.maximum(counts - k, 0)
-            if n_evict.any():
-                victims = _select_victims(
-                    self._policy, state, n_evict, t, cutoff_log
-                )
-                if victims.any():
-                    if rec_on:
-                        evicted_total += int(victims.sum())
-                    state.compact(state.alive & ~victims, aux)
-                    counts = state.alive.sum(axis=1)
-
-            r_occupancy[:, t] = (state.alive & (state.side == R_CODE)).sum(axis=1)
-            occupancy[:, t] = counts
-
-        if rec_on:
-            self._record_counters(
-                r_paths, s_paths, total, expired_total, evicted_total
-            )
-            self._emit_series(occupancy, results_log)
-            _emit_policy_series(rec, self._policy, cutoff_log)
-        return BatchJoinRunResult(
-            total_results=total,
-            results_after_warmup=after_warmup,
-            steps=n,
-            warmup=self._warmup,
-            cache_size=k,
-            r_occupancy=r_occupancy,
-            occupancy=occupancy,
-        )
-
-    def _record_counters(
-        self,
-        r_paths: np.ndarray,
-        s_paths: np.ndarray,
-        total: np.ndarray,
-        expired_total: int,
-        evicted_total: int,
-    ) -> None:
-        """Flush batch-aggregated counters, mirroring the scalar keys.
-
-        Counters with a zero total are skipped so the resulting
-        dictionary has exactly the keys a scalar recorder would have
-        created over the same trials.
-        """
-        rec = self._recorder
-        n_steps = int(r_paths.size)
-        arrivals_r = int((r_paths != NONE_VALUE).sum())
-        arrivals_s = int((s_paths != NONE_VALUE).sum())
-        arrivals_null = 2 * n_steps - arrivals_r - arrivals_s
-        results = int(total.sum())
-        for name, count in (
-            ("sim.steps", n_steps),
-            ("arrivals.R", arrivals_r),
-            ("arrivals.S", arrivals_s),
-            ("arrivals.null", arrivals_null),
-            ("evict.window_expired", expired_total),
-            (f"evict.{self._policy_name}", evicted_total),
-            ("join.results", results),
-        ):
-            if count:
-                rec.count(name, count)
-
-    def _emit_series(
-        self, occupancy: np.ndarray, results_log: np.ndarray | None
-    ) -> None:
-        """Replay the scalar per-step series from the batch arrays.
-
-        Points are fed trial-major (all of trial 0's steps, then trial
-        1's, …) — the exact order the scalar engine produces over the
-        same trials — so the recorder's series aggregates, including the
-        order-dependent downsampling buffers and histogram sums, come out
-        bit-identical to a scalar run.
-        """
-        assert results_log is not None
-        rec = self._recorder
-        occ_rows = occupancy.tolist()
-        cum_rows = np.cumsum(results_log, axis=1).tolist()
-        for occ_row, cum_row in zip(occ_rows, cum_rows):
-            for t, (occ, cum) in enumerate(zip(occ_row, cum_row)):
-                rec.series("cache.occupancy", t, occ)
-                rec.series("join.results.cum", t, cum)
-
-
 class BatchCacheSimulator:
     """Vectorized counterpart of :class:`~repro.sim.cache_sim.CacheSimulator`.
 
@@ -658,10 +429,7 @@ class BatchCacheSimulator:
         policy_name: str = "policy",
     ):
         """Validate and bind the caching parameters shared by every trial."""
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
-        if warmup < 0:
-            raise ValueError("warmup must be nonnegative")
+        check_run_params(cache_size, warmup)
         self._cache_size = cache_size
         self._policy = policy
         self._warmup = warmup
@@ -675,13 +443,12 @@ class BatchCacheSimulator:
             raise ValueError("references must be a (B, n) array")
         n_trials, n = references.shape
         k = self._cache_size
-        state = BatchState.empty(n_trials, k + 1)
-        self._policy.bind(*binary_topology("cache"))
+        names, partner_names = binary_topology("cache")
+        state = BatchState.empty(n_trials, k + 1, len(names))
+        self._policy.bind(names, partner_names)
         self._policy.reset(n_trials, k + 1)
         aux = self._policy.aux_arrays()
 
-        counts = np.zeros(n_trials, dtype=np.int64)
-        uid_next = np.zeros(n_trials, dtype=np.int64)
         hits = np.zeros(n_trials, dtype=np.int64)
         misses = np.zeros(n_trials, dtype=np.int64)
         hits_w = np.zeros(n_trials, dtype=np.int64)
@@ -703,11 +470,11 @@ class BatchCacheSimulator:
         for t in range(n):
             vals = references[:, t]
             has = vals != NONE_VALUE
-            state.last_r[has] = vals[has]
+            np.copyto(state.last[R_CODE], vals, where=has)
             self._policy.begin_step(state, t, (vals, no_s))
             if not has.any():
                 if occ_log is not None:
-                    occ_log[:, t] = counts
+                    occ_log[:, t] = state.count
                 continue
 
             safe = np.where(has, vals, 0)
@@ -725,32 +492,14 @@ class BatchCacheSimulator:
                 self._policy.on_reference(state, hit_mask, t)
 
             rows = np.flatnonzero(miss_rows)
-            if rows.size == 0:
-                if occ_log is not None:
-                    occ_log[:, t] = counts
-                continue
-            cols = counts[rows]
-            state.val[rows, cols] = vals[rows]
-            state.side[rows, cols] = S_CODE
-            state.arr[rows, cols] = t
-            state.uid[rows, cols] = uid_next[rows]
-            state.alive[rows, cols] = True
-            uid_next[rows] += 1
-            counts[rows] += 1
-            self._policy.on_admit(state, rows, cols, S_CODE, vals[rows], t)
-
-            n_evict = np.maximum(counts - k, 0)
-            if n_evict.any():
-                victims = _select_victims(
-                    self._policy, state, n_evict, t, cutoff_log
+            if rows.size:
+                slots = state.append(rows, S_CODE, vals[rows], t)
+                self._policy.on_admit(state, rows, slots, S_CODE, vals[rows], t)
+                evicted_total += _evict(
+                    self._policy, state, k, t, cutoff_log, aux
                 )
-                if victims.any():
-                    if rec_on:
-                        evicted_total += int(victims.sum())
-                    state.compact(state.alive & ~victims, aux)
-                    counts = state.alive.sum(axis=1)
             if occ_log is not None:
-                occ_log[:, t] = counts
+                occ_log[:, t] = state.count
 
         observed = (references != NONE_VALUE).sum(axis=1)
         if rec_on:
@@ -787,7 +536,7 @@ class BatchCacheSimulator:
     ) -> None:
         """Replay the scalar per-step series from the batch arrays.
 
-        Trial-major like :meth:`BatchJoinSimulator._emit_series`; points
+        Trial-major like :meth:`BatchMultiJoinSimulator._emit_series`; points
         exist only at observed (non-``None``) reference steps, matching
         the scalar simulator, and the cumulative hit rate is computed
         with the same integer division operands.
@@ -814,24 +563,25 @@ class BatchCacheSimulator:
                 rec.series("cache.hit_rate", t, h / (h + m_row[t]))
 
 
+
+
 class BatchMultiJoinSimulator:
-    """Vectorized counterpart of :class:`~repro.sim.multi_join.MultiJoinSimulator`.
+    """Vectorized counterpart of :func:`repro.sim.step.multi_join_step`.
 
-    Takes a :class:`~repro.policies.batch.BatchPolicy` (built by
-    :func:`~repro.policies.batch.make_batch_policy` with
-    ``kind="multi_join"``) and per-stream ``(B, n)`` value arrays; every
-    step performs the scalar step function's phases — per-partner
-    probing, arrival minting in stream order, eviction — as whole-array
-    operations, with ``side`` carrying the stream's index in arrival
-    order instead of the binary R/S codes.
+    Runs any topology of binary equijoin queries — the binary join is
+    the 2-stream topology ``[("R", "S")]`` — over per-stream ``(B, n)``
+    value arrays, with the scalar step's phases (window expiry, probing
+    within ``band``, arrival minting in stream order, eviction) as
+    whole-array operations.  ``side`` is the stream's index in arrival
+    order, so the binary join's R/S are the adapters' ``R_CODE`` /
+    ``S_CODE``.  ``binary`` mirrors :func:`~repro.sim.step.make_join_state`:
+    the binary series set, and :class:`~repro.sim.join_sim.JoinRunResult`
+    trials from ``unbatch``.
 
-    An enabled ``recorder`` receives counters aggregated over the whole
-    batch (``sim.steps``, ``arrivals.<stream>``, ``arrivals.null``,
-    ``join.results``, ``evict.<policy_name>``) and the scalar per-step
-    series (``cache.occupancy``, ``join.results.cum``,
-    ``cache.hit_rate``) replayed trial-major, matching what a scalar
-    recorder collects over the same trials.  Per-step trace events are
-    not emitted — trace with the scalar engine for per-tuple visibility.
+    An enabled ``recorder`` receives the counters and per-step series a
+    scalar recorder collects over the same trials, aggregated over the
+    batch and replayed trial-major.  Per-step trace events are not
+    emitted — trace with the scalar engine for per-tuple visibility.
     """
 
     def __init__(
@@ -840,21 +590,24 @@ class BatchMultiJoinSimulator:
         policy: BatchPolicy,
         queries: Sequence[tuple[str, str]],
         warmup: int = 0,
+        window: int | None = None,
+        band: int = 0,
         recorder: Recorder = NULL_RECORDER,
         policy_name: str = "policy",
+        binary: bool = False,
     ):
         """Validate the query set and bind the shared-cache parameters."""
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
-        if warmup < 0:
-            raise ValueError("warmup must be nonnegative")
+        check_run_params(cache_size, warmup, window, band)
         self._partner_names = multi_partner_names(queries)
         self._queries = [tuple(q) for q in queries]
         self._cache_size = cache_size
         self._policy = policy
         self._warmup = warmup
+        self._window = window
+        self._band = band
         self._recorder = recorder
         self._policy_name = policy_name
+        self._binary = binary
 
     def run(self, streams: Mapping[str, np.ndarray]) -> BatchMultiJoinRunResult:
         """Simulate every trial in lock-step over per-stream value arrays."""
@@ -867,6 +620,9 @@ class BatchMultiJoinSimulator:
             raise ValueError("all streams must be matching (B, n) arrays")
         n_trials, n = arrs[0].shape
         k = self._cache_size
+        window = self._window
+        band = self._band
+        policy = self._policy
         code_of = {name: i for i, name in enumerate(names)}
         # Streams outside every query are observed but never cached.
         query_codes = [
@@ -881,115 +637,116 @@ class BatchMultiJoinSimulator:
             if name in self._partner_names
             for p in self._partner_names[name]
         ]
+        # Step-major copies, so each step reads contiguous (B,) rows.
+        cols = [np.ascontiguousarray(a.T) for a in arrs]
+        has_cols = [c != NONE_VALUE for c in cols]
+        # A band probe needs "−" masked out of its arithmetic; an
+        # equijoin probe does not: no alive slot ever holds NONE_VALUE.
+        safe_cols = [np.where(h, c, 0) for c, h in zip(cols, has_cols)]
 
         # ≤ k survivors plus one arrival per cacheable stream.
-        state = BatchState.empty(n_trials, k + len(query_codes))
-        self._policy.bind(names, self._partner_names)
-        self._policy.reset(n_trials, k + len(query_codes))
-        aux = self._policy.aux_arrays()
+        n_slots = k + len(query_codes)
+        state = BatchState.empty(n_trials, n_slots, len(names))
+        policy.bind(names, self._partner_names)
+        policy.reset(n_trials, n_slots)
+        aux = policy.aux_arrays()
 
-        counts = np.zeros(n_trials, dtype=np.int64)
-        uid_next = np.zeros(n_trials, dtype=np.int64)
         total = np.zeros(n_trials, dtype=np.int64)
         after_warmup = np.zeros(n_trials, dtype=np.int64)
         per_query = np.zeros((n_trials, len(self._queries)), dtype=np.int64)
-        probe_hits = np.zeros(n_trials, dtype=np.int64)
-        probe_misses = np.zeros(n_trials, dtype=np.int64)
-        occupancy_by_stream = {
-            name: np.zeros((n_trials, n), dtype=np.int64) for name in names
-        }
+        # Step-major occupancy: the total, and every query stream but the
+        # last (whose count is the total minus the others').
+        occ_total = np.zeros((n, n_trials), dtype=np.int64)
+        occ = {code: np.zeros_like(occ_total) for code in query_codes[:-1]}
 
         rec = self._recorder
         rec_on = rec.enabled
+        # Probe outcomes feed the n-way cache.hit_rate series only.
+        probes_on = rec_on and not self._binary
+        expired_total = 0
         evicted_total = 0
-        # Per-step logs, kept only to replay the scalar series exactly.
-        if rec_on:
-            occ_log = np.zeros((n_trials, n), dtype=np.int64)
-            results_log = np.zeros((n_trials, n), dtype=np.int64)
-            hits_log = np.zeros((n_trials, n), dtype=np.int64)
-            probes_log = np.zeros((n_trials, n), dtype=np.int64)
-        else:
-            occ_log = results_log = hits_log = probes_log = None
-        cutoff_log = _cutoff_log_for(self._policy, rec_on, n_trials)
+        # Per-step results and cumulative probe hits, kept only to
+        # replay the scalar series exactly.
+        logs = np.zeros((2, n, n_trials), dtype=np.int64) if rec_on else None
+        probe_hits = np.zeros(n_trials, dtype=np.int64)
+        cutoff_log = _cutoff_log_for(policy, rec_on, n_trials)
+        last = state.last
 
         for t in range(n):
-            vals = [a[:, t] for a in arrs]
-            self._policy.begin_step(state, t, vals)
+            vals = [c[t] for c in cols]
+            for code, v in enumerate(vals):
+                np.copyto(last[code], v, where=has_cols[code][t])
+            policy.begin_step(state, t, vals)
+
+            # Sliding-window expiry: free removal of dead tuples.
+            if window is not None:
+                expired = state.alive & (state.arr < t - window)
+                if expired.any():
+                    if rec_on:
+                        expired_total += int(expired.sum())
+                    state.compact(state.alive & ~expired, aux)
 
             # New arrivals join cached partner tuples (same-step arrivals
             # never join each other — they are appended only afterwards).
-            step_results = np.zeros(n_trials, dtype=np.int64)
-            referenced = np.zeros(state.alive.shape, dtype=bool)
-            matched = {code: np.zeros(n_trials, dtype=bool) for code in query_codes}
+            on_side = {
+                code: state.alive & (state.side == code) for code in query_codes
+            }
+            step_results = referenced = None
+            matched = dict.fromkeys(query_codes, False)
             for a_code, p_code, q_col in edges:
-                v = vals[a_code]
-                has = v != NONE_VALUE
-                if not has.any():
-                    continue
-                safe = np.where(has, v, 0)
-                m = (
-                    state.alive
-                    & (state.side == p_code)
-                    & has[:, None]
-                    & (state.val == safe[:, None])
-                )
+                if band == 0:
+                    near = state.val == vals[a_code][:, None]
+                else:
+                    near = has_cols[a_code][t][:, None] & (
+                        np.abs(state.val - safe_cols[a_code][t][:, None]) <= band
+                    )
+                m = on_side[p_code] & near
                 cnt = m.sum(axis=1)
                 per_query[:, q_col] += cnt
-                step_results += cnt
-                referenced |= m
-                matched[a_code] |= cnt > 0
-            for code in query_codes:
-                has = vals[code] != NONE_VALUE
-                probe_hits += has & matched[code]
-                probe_misses += has & ~matched[code]
+                if step_results is None:
+                    step_results, referenced = cnt, m
+                else:
+                    step_results = step_results + cnt
+                    referenced = referenced | m
+                if probes_on:
+                    matched[a_code] = matched[a_code] | (cnt > 0)
             total += step_results
             if t >= self._warmup:
                 after_warmup += step_results
-            if results_log is not None:
-                results_log[:, t] = step_results
-                hits_log[:, t] = probe_hits
-                probes_log[:, t] = probe_hits + probe_misses
+            if logs is not None:
+                # A stream's arrival is a probe hit when any edge matched.
+                probe_hits += sum(matched.values())
+                logs[:, t] = step_results, probe_hits
             if referenced.any():
-                self._policy.on_reference(state, referenced, t)
+                policy.on_reference(state, referenced, t)
 
             # Append arrivals in candidate order: stream arrival order.
             for code in query_codes:
-                v = vals[code]
-                rows = np.flatnonzero(v != NONE_VALUE)
-                if rows.size == 0:
-                    continue
-                cols = counts[rows]
-                state.val[rows, cols] = v[rows]
-                state.side[rows, cols] = code
-                state.arr[rows, cols] = t
-                state.uid[rows, cols] = uid_next[rows]
-                state.alive[rows, cols] = True
-                uid_next[rows] += 1
-                counts[rows] += 1
-                self._policy.on_admit(state, rows, cols, code, v[rows], t)
+                rows = np.flatnonzero(has_cols[code][t])
+                if rows.size:
+                    v = vals[code][rows]
+                    slots = state.append(rows, code, v, t)
+                    policy.on_admit(state, rows, slots, code, v, t)
+            evicted_total += _evict(policy, state, k, t, cutoff_log, aux)
 
-            n_evict = np.maximum(counts - k, 0)
-            if n_evict.any():
-                victims = _select_victims(
-                    self._policy, state, n_evict, t, cutoff_log
-                )
-                if victims.any():
-                    if rec_on:
-                        evicted_total += int(victims.sum())
-                    state.compact(state.alive & ~victims, aux)
-                    counts = state.alive.sum(axis=1)
+            occ_total[t] = state.count
+            for code, log in occ.items():
+                log[t] = (state.alive & (state.side == code)).sum(axis=1)
 
-            for name in names:
-                occupancy_by_stream[name][:, t] = (
-                    state.alive & (state.side == code_of[name])
-                ).sum(axis=1)
-            if occ_log is not None:
-                occ_log[:, t] = counts
-
+        occ[query_codes[-1]] = occ_total - sum(occ.values())
+        occupancy = {name: np.zeros((n_trials, n), dtype=np.int64) for name in names}
+        for code, log in occ.items():
+            occupancy[names[code]] = log.T.copy()
         if rec_on:
-            self._record_counters(names, arrs, total, evicted_total)
-            self._emit_series(occ_log, results_log, hits_log, probes_log)
-            _emit_policy_series(rec, self._policy, cutoff_log)
+            self._record_counters(
+                names, arrs, total, expired_total, evicted_total
+            )
+            # Every query-stream arrival is one probe.
+            probes = sum(has_cols[code] for code in query_codes)
+            self._emit_series(
+                occ_total, logs, np.cumsum(probes, axis=0) * probes_on
+            )
+            _emit_policy_series(rec, policy, cutoff_log)
         return BatchMultiJoinRunResult(
             total_results=total,
             results_after_warmup=after_warmup,
@@ -998,8 +755,8 @@ class BatchMultiJoinSimulator:
             cache_size=k,
             queries=self._queries,
             per_query=per_query,
-            occupancy_by_stream=occupancy_by_stream,
-            final_state=state,
+            occupancy_by_stream=occupancy,
+            binary=self._binary,
         )
 
     def _record_counters(
@@ -1007,6 +764,7 @@ class BatchMultiJoinSimulator:
         names: Sequence[str],
         arrs: Sequence[np.ndarray],
         total: np.ndarray,
+        expired_total: int,
         evicted_total: int,
     ) -> None:
         """Flush batch-aggregated counters, mirroring the scalar keys.
@@ -1015,47 +773,44 @@ class BatchMultiJoinSimulator:
         dictionary has exactly the keys a scalar recorder would have
         created over the same trials.
         """
-        rec = self._recorder
         n_steps = int(arrs[0].size)
-        pairs: list[tuple[str, int]] = [("sim.steps", n_steps)]
-        observed = 0
-        for name, arr in zip(names, arrs):
-            seen = int((arr != NONE_VALUE).sum())
-            observed += seen
-            pairs.append((f"arrivals.{name}", seen))
-        pairs.append(("arrivals.null", n_steps * len(names) - observed))
-        pairs.append((f"evict.{self._policy_name}", evicted_total))
-        pairs.append(("join.results", int(total.sum())))
-        for name, count in pairs:
+        seen = [int((arr != NONE_VALUE).sum()) for arr in arrs]
+        for name, count in (
+            ("sim.steps", n_steps),
+            *((f"arrivals.{name}", c) for name, c in zip(names, seen)),
+            ("arrivals.null", n_steps * len(names) - sum(seen)),
+            ("evict.window_expired", expired_total),
+            (f"evict.{self._policy_name}", evicted_total),
+            ("join.results", int(total.sum())),
+        ):
             if count:
-                rec.count(name, count)
+                self._recorder.count(name, count)
 
     def _emit_series(
-        self,
-        occ_log: np.ndarray | None,
-        results_log: np.ndarray | None,
-        hits_log: np.ndarray | None,
-        probes_log: np.ndarray | None,
+        self, occ_log: np.ndarray, logs: np.ndarray, probes: np.ndarray
     ) -> None:
-        """Replay the scalar per-step series from the batch arrays.
+        """Replay the scalar per-step series from the step-major logs.
 
-        Trial-major like :meth:`BatchJoinSimulator._emit_series`, so the
-        recorder's order-dependent aggregates come out bit-identical to
-        a scalar run; ``cache.hit_rate`` points exist only once a trial
-        has probed at least once, with the same integer operands.
+        ``logs`` stacks per-step results and cumulative probe hits;
+        ``probes`` counts cumulative probes.  Points are fed trial-major
+        (all of trial 0's steps, then trial 1's, …) — the exact order
+        the scalar engine produces over the same trials — so the
+        recorder's series aggregates, including the order-dependent
+        downsampling buffers and histogram sums, come out bit-identical
+        to a scalar run.  ``cache.hit_rate`` points exist only once a
+        trial has probed (never on a binary run, which counts no
+        probes), with the same integer operands.
         """
-        assert occ_log is not None
         rec = self._recorder
-        occ_rows = occ_log.tolist()
-        cum_rows = np.cumsum(results_log, axis=1).tolist()
-        hit_rows = hits_log.tolist()
-        probe_rows = probes_log.tolist()
-        for occ_row, cum_row, hit_row, probe_row in zip(
-            occ_rows, cum_rows, hit_rows, probe_rows
-        ):
+        rows = zip(
+            occ_log.T.tolist(),
+            np.cumsum(logs[0], axis=0).T.tolist(),
+            logs[1].T.tolist(),
+            probes.T.tolist(),
+        )
+        for occ_row, cum_row, hit_row, probe_row in rows:
             for t, (occ, cum) in enumerate(zip(occ_row, cum_row)):
                 rec.series("cache.occupancy", t, occ)
                 rec.series("join.results.cum", t, cum)
-                probes = probe_row[t]
-                if probes:
-                    rec.series("cache.hit_rate", t, hit_row[t] / probes)
+                if probe_row[t]:
+                    rec.series("cache.hit_rate", t, hit_row[t] / probe_row[t])

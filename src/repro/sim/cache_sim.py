@@ -20,7 +20,7 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 from ..policies.base import ReplacementPolicy
 from ..streams.base import StreamModel
 from .engine import RunResult
-from .step import cache_step, make_cache_state
+from .step import cache_step, check_run_params, make_cache_state
 
 __all__ = ["CacheRunResult", "CacheSimulator"]
 
@@ -69,10 +69,7 @@ class CacheSimulator:
         recorder: Recorder = NULL_RECORDER,
     ):
         """Validate and bind the caching-run parameters."""
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
-        if warmup < 0:
-            raise ValueError("warmup must be nonnegative")
+        check_run_params(cache_size, warmup)
         self._cache_size = cache_size
         self._policy = policy
         self._warmup = warmup

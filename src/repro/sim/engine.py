@@ -19,8 +19,8 @@ dissolves that coupling into an explicit operator/engine split:
                 kinds and all policies, including FlowExpect's
                 fast/reference paths)
   ``batch``     the vectorized NumPy engine (:mod:`repro.sim.batch`);
-                joining, caching, and multi-join with an exact batch
-                policy adapter
+                joins (binary and n-way) and caching with an exact
+                batch policy adapter
   ``parallel``  fans independent trials across a
                 :class:`~concurrent.futures.ProcessPoolExecutor`;
                 needs ``fork`` and an effective worker count > 1
@@ -54,6 +54,7 @@ import numpy as np
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..policies.base import WindowOracle
 from ..streams.base import StreamModel
+from .step import check_run_params
 
 __all__ = [
     "RunResult",
@@ -152,7 +153,8 @@ class ExperimentSpec:
         binary join queries).
     cache_size / warmup / window / band:
         The simulator parameters of Sections 2, 6.2, and 7.  ``window``
-        and ``band`` apply to the joining problems only.
+        and ``band`` apply to the joining problems (binary and n-way)
+        only; a cache spec setting either is rejected.
     r_model / s_model:
         Stream models for model-aware policies.  For ``"cache"``,
         ``r_model`` is the reference-stream model and ``s_model`` unused.
@@ -181,16 +183,14 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if self.cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
-        if self.warmup < 0:
-            raise ValueError("warmup must be nonnegative")
-        if self.window is not None and self.window < 0:
-            raise ValueError("window must be nonnegative")
-        if self.band < 0:
-            raise ValueError("band must be nonnegative")
+        check_run_params(self.cache_size, self.warmup, self.window, self.band)
         if self.kind == "multi_join" and not self.queries:
             raise ValueError("multi_join specs need at least one query")
+        if self.kind == "cache" and (self.window is not None or self.band):
+            raise ValueError(
+                "window and band apply to the joining problems only, "
+                "not to cache specs"
+            )
 
 
 #: A zero-argument callable producing a fresh policy instance per trial.
@@ -289,6 +289,8 @@ def _run_one_scalar(
         policy,
         spec.queries,
         warmup=spec.warmup,
+        window=spec.window,
+        band=spec.band,
         models=spec.models,
         recorder=recorder,
     )
@@ -337,22 +339,17 @@ class BatchEngine(Engine):
     def _adapter(self, spec: ExperimentSpec, policy):
         from ..policies.batch import make_batch_policy
 
-        if spec.kind == "cache":
-            return make_batch_policy(policy, kind="cache", r_model=spec.r_model)
-        if spec.kind == "multi_join":
-            return make_batch_policy(
-                policy,
-                kind="multi_join",
-                models=spec.models,
-                queries=spec.queries,
-            )
+        # Each kind reads its own arguments; only the binary join hands
+        # its window oracle to the policies, as on the scalar tier.
         return make_batch_policy(
             policy,
-            kind="join",
+            kind=spec.kind,
             r_model=spec.r_model,
             s_model=spec.s_model,
             window=spec.window,
-            window_oracle=spec.window_oracle,
+            window_oracle=spec.window_oracle if spec.kind == "join" else None,
+            models=spec.models,
+            queries=spec.queries,
             cache_size=spec.cache_size,
         )
 
@@ -377,9 +374,7 @@ class BatchEngine(Engine):
         """
         from .batch import (
             BatchCacheSimulator,
-            BatchJoinSimulator,
             BatchMultiJoinSimulator,
-            paths_to_arrays,
             streams_to_arrays,
             values_to_array,
         )
@@ -395,31 +390,27 @@ class BatchEngine(Engine):
                 policy_name=policy.name,
             )
             batched = sim.run(values_to_array(data))
-        elif spec.kind == "multi_join":
+        else:
+            queries = spec.queries
+            if spec.kind == "join":
+                # The binary join is the 2-stream topology R⋈S.
+                data = [{"R": r, "S": s} for r, s in data]
+                queries = [("R", "S")]
             arrays = streams_to_arrays(data)
             if not arrays:
                 return EngineRun(policy_name=policy.name, per_run=[])
             sim = BatchMultiJoinSimulator(
                 spec.cache_size,
                 adapter,
-                spec.queries,
-                warmup=spec.warmup,
-                recorder=recorder,
-                policy_name=policy.name,
-            )
-            batched = sim.run(arrays)
-        else:
-            r_arr, s_arr = paths_to_arrays(data)
-            sim = BatchJoinSimulator(
-                spec.cache_size,
-                adapter,
+                queries,
                 warmup=spec.warmup,
                 window=spec.window,
                 band=spec.band,
                 recorder=recorder,
                 policy_name=policy.name,
+                binary=spec.kind == "join",
             )
-            batched = sim.run(r_arr, s_arr)
+            batched = sim.run(arrays)
         per_run = batched.unbatch()
         if recorder.enabled:
             recorder.count("trials.done", len(per_run))

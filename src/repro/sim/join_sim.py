@@ -33,7 +33,8 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 from ..policies.base import ReplacementPolicy, WindowOracle
 from ..streams.base import StreamModel, Value
 from .engine import RunResult
-from .step import join_step, make_join_state
+from .multi_join import drive_join
+from .step import check_run_params, make_join_state
 
 __all__ = ["JoinRunResult", "JoinSimulator"]
 
@@ -109,14 +110,7 @@ class JoinSimulator:
         recorder: Recorder = NULL_RECORDER,
     ):
         """Validate and bind the join-run parameters (see class docs)."""
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
-        if warmup < 0:
-            raise ValueError("warmup must be nonnegative")
-        if window is not None and window < 0:
-            raise ValueError("window must be nonnegative")
-        if band < 0:
-            raise ValueError("band must be nonnegative")
+        check_run_params(cache_size, warmup, window, band)
         self._cache_size = cache_size
         self._policy = policy
         self._warmup = warmup
@@ -132,12 +126,13 @@ class JoinSimulator:
     ) -> JoinRunResult:
         """Simulate the join over the given value sequences.
 
-        The per-step semantics live in :func:`repro.sim.step.join_step`
-        (shared with the :mod:`repro.serve` event loop); this method is
-        the finite driver: it feeds the pre-sampled values step by step
-        and aggregates warmup-aware metrics and occupancy series.
+        The binary join is the 2-stream topology ``R⋈S``: the per-step
+        semantics live in :func:`repro.sim.step.multi_join_step` (shared
+        with the n-way simulator and the :mod:`repro.serve` event loop),
+        and :func:`~repro.sim.multi_join.drive_join` feeds the
+        pre-sampled values step by step and aggregates warmup-aware
+        metrics and occupancy series.
         """
-        n = min(len(r_values), len(s_values))
         state = make_join_state(
             self._cache_size,
             self._policy,
@@ -148,26 +143,17 @@ class JoinSimulator:
             window_oracle=self._window_oracle,
             recorder=self._recorder,
         )
-
-        after_warmup = 0
-        r_occupancy = np.zeros(n, dtype=np.int64)
-        occupancy = np.zeros(n, dtype=np.int64)
-
-        for t in range(n):
-            outcome = join_step(state, t, r_values[t], s_values[t])
-            if t >= self._warmup:
-                after_warmup += outcome.results
-            r_occupancy[t] = outcome.r_occupancy
-            occupancy[t] = outcome.occupancy
-
+        n, after_warmup, occupancy = drive_join(
+            state, (r_values, s_values), self._warmup
+        )
         result = JoinRunResult(
             total_results=state.total_results,
             results_after_warmup=after_warmup,
             steps=n,
             warmup=self._warmup,
             cache_size=self._cache_size,
-            r_occupancy=r_occupancy,
-            occupancy=occupancy,
+            r_occupancy=occupancy["R"],
+            occupancy=occupancy["R"] + occupancy["S"],
         )
         if self._recorder.enabled:
             result.metrics = self._recorder.snapshot()

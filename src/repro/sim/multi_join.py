@@ -8,15 +8,20 @@ expected benefit is a summary of each expected benefit of the binary
 join with one partner stream."
 
 The policy layer is partner-aware
-(:class:`repro.policies.base.PolicyContext` addresses streams by name
-when ``partner_names`` is set, with the binary join as the 1-partner
-degenerate case), so the unified policies serve both shapes: HEEB over
+(:class:`repro.policies.base.PolicyContext` addresses streams by name,
+with the binary join as the 1-partner degenerate case), so the unified
+policies serve both shapes: HEEB over
 :class:`~repro.policies.heeb_policy.GenericJoinHeeb` applies the
-appendix's per-partner benefit summation (the "summary" rule).  This
-module adds what is specific to the n-way shape:
+appendix's per-partner benefit summation (the "summary" rule).  The
+step itself (:func:`repro.sim.step.multi_join_step`) is the one join
+transition of every tier; the binary
+:class:`~repro.sim.join_sim.JoinSimulator` is its 2-stream case.  This
+module adds:
 
+* :func:`drive_join` -- the finite driver loop both simulators share;
 * :class:`MultiJoinSimulator` -- ``n`` named streams, a set of binary
-  equijoin queries (stream-name pairs), one shared cache;
+  equijoin queries (stream-name pairs), one shared cache, with the
+  Section-7 sliding windows and band joins of the binary join;
 * :func:`solve_opt_offline_multi` -- the compact OPT-offline formulation
   with per-match-step benefit *counts* (a tuple may match arrivals from
   several partners in one step), replayable through the simulator via
@@ -39,9 +44,16 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 from ..policies.base import ReplacementPolicy
 from ..streams.base import StreamModel, Value
 from .engine import RunResult
-from .step import build_multi_join_state, multi_join_step, multi_partner_names
+from .step import (
+    MultiJoinStepState,
+    build_multi_join_state,
+    check_run_params,
+    multi_join_step,
+    multi_partner_names,
+)
 
 __all__ = [
+    "drive_join",
     "MultiJoinRunResult",
     "MultiJoinSimulator",
     "solve_opt_offline_multi",
@@ -52,6 +64,40 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Simulator
 # ----------------------------------------------------------------------
+def drive_join(
+    state: MultiJoinStepState,
+    columns: Sequence[Sequence[Value]],
+    warmup: int,
+) -> tuple[int, int, dict[str, np.ndarray]]:
+    """Feed value columns through :func:`~repro.sim.step.multi_join_step`.
+
+    ``columns[i]`` is stream ``state.names[i]``'s value sequence; the run
+    lasts as long as the shortest one.  Returns the step count, the
+    results produced from step ``warmup`` on, and each stream's per-step
+    cached-tuple count (after that step's evictions) — the finite driver
+    shared by :class:`MultiJoinSimulator` and
+    :class:`~repro.sim.join_sim.JoinSimulator`.
+    """
+    count = state.cache.side_counts.get
+    logs: dict[str, list[int]] = {
+        name: [] for name, probes in zip(state.names, state.probes) if probes
+    }
+    appends = [(name, log.append) for name, log in logs.items()]
+    after_warmup = 0
+    for t, values in enumerate(zip(*columns)):
+        results = multi_join_step(state, t, values).results
+        if t >= warmup:
+            after_warmup += results
+        for name, append in appends:
+            append(count(name, 0))
+    n = min(len(column) for column in columns)
+    occupancy = {
+        name: np.array(logs.get(name, [0] * n), dtype=np.int64)
+        for name in state.names
+    }
+    return n, after_warmup, occupancy
+
+
 @dataclass
 class MultiJoinRunResult(RunResult):
     """Outcome of one multi-join run (result counts and occupancy)."""
@@ -85,6 +131,12 @@ class MultiJoinSimulator:
     queries:
         Binary equijoin queries as stream-name pairs.  A pair may appear
         once; self-joins are rejected.
+    warmup:
+        Results produced during the first ``warmup`` steps are excluded
+        from ``results_after_warmup``.
+    window / band:
+        Section-7 sliding window and band-join width, exactly as for
+        :class:`~repro.sim.join_sim.JoinSimulator`.
     models:
         Optional per-stream models handed to model-aware policies.
     recorder:
@@ -98,19 +150,20 @@ class MultiJoinSimulator:
         policy: ReplacementPolicy,
         queries: Sequence[tuple[str, str]],
         warmup: int = 0,
+        window: int | None = None,
+        band: int = 0,
         models: Mapping[str, StreamModel] | None = None,
         recorder: Recorder = NULL_RECORDER,
     ):
         """Validate the query set and bind the shared-cache parameters."""
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
-        if warmup < 0:
-            raise ValueError("warmup must be nonnegative")
-        self._partner_names = multi_partner_names(queries)
+        check_run_params(cache_size, warmup, window, band)
+        multi_partner_names(queries)  # reject malformed topologies early
         self._queries = [tuple(q) for q in queries]
         self._cache_size = cache_size
         self._policy = policy
         self._warmup = warmup
+        self._window = window
+        self._band = band
         self._models = models
         self._recorder = recorder
 
@@ -121,34 +174,23 @@ class MultiJoinSimulator:
 
         The per-step semantics live in
         :func:`repro.sim.step.multi_join_step` (shared with the
-        :mod:`repro.serve` event loop); this method is the finite
-        driver adding warmup accounting and per-stream occupancy.
+        :mod:`repro.serve` event loop); :func:`drive_join` feeds it and
+        adds warmup accounting and per-stream occupancy.
         """
         names = list(streams.keys())
-        missing = set(self._partner_names) - set(names)
-        if missing:
-            raise ValueError(f"queries reference unknown streams {missing}")
-        n = min(len(v) for v in streams.values())
         state = build_multi_join_state(
             self._cache_size,
             self._policy,
             self._queries,
             names,
+            window=self._window,
+            band=self._band,
             models=self._models,
             recorder=self._recorder,
         )
-
-        after_warmup = 0
-        occupancy = {name: np.zeros(n, dtype=np.int64) for name in names}
-
-        for t in range(n):
-            arrivals = {name: streams[name][t] for name in names}
-            outcome = multi_join_step(state, t, arrivals)
-            if t >= self._warmup:
-                after_warmup += outcome.results
-            for name in names:
-                occupancy[name][t] = state.cache.count_side(name)
-
+        n, after_warmup, occupancy = drive_join(
+            state, [streams[name] for name in names], self._warmup
+        )
         result = MultiJoinRunResult(
             total_results=state.total_results,
             results_after_warmup=after_warmup,
@@ -180,10 +222,7 @@ def solve_opt_offline_multi(
     """
     if cache_size < 1:
         raise ValueError("cache_size must be >= 1")
-    partner_names: dict[str, list[str]] = {}
-    for a, b in queries:
-        partner_names.setdefault(a, []).append(b)
-        partner_names.setdefault(b, []).append(a)
+    partner_names = multi_partner_names(queries)
     names = [n for n in streams if n in partner_names]
     n = min(len(streams[name]) for name in streams) if streams else 0
 
@@ -265,10 +304,7 @@ def brute_force_multi_benefit(
     from functools import lru_cache
     from itertools import combinations
 
-    partner_names: dict[str, list[str]] = {}
-    for a, b in queries:
-        partner_names.setdefault(a, []).append(b)
-        partner_names.setdefault(b, []).append(a)
+    partner_names = multi_partner_names(queries)
     names = [name for name in streams if name in partner_names]
     n = min(len(v) for v in streams.values())
     states_seen = 0

@@ -1,33 +1,36 @@
 """Pure per-step transitions shared by the simulators and the server.
 
-Historically each simulator (:mod:`repro.sim.join_sim`,
-:mod:`repro.sim.cache_sim`, :mod:`repro.sim.multi_join`) carried its own
-inlined copy of the per-step transition — arrival → probe → admit/evict
-via the policy → emit results.  The streaming service tier
-(:mod:`repro.serve`) needs the *same* semantics driven by an asyncio
-event loop instead of a ``for`` loop, so this module hoists the
-transition into reusable functions over explicit state objects:
+The simulators (:mod:`repro.sim.join_sim`, :mod:`repro.sim.cache_sim`,
+:mod:`repro.sim.multi_join`) and the streaming service tier
+(:mod:`repro.serve`) drive the *same* per-step transition — arrival →
+expiry → probe → admit/evict via the policy → emit results — the former
+with a ``for`` loop, the latter with an asyncio event loop.  This module
+holds the two transitions as functions over explicit state objects:
 
-* :class:`JoinStepState` / :func:`join_step` — the two-stream equijoin
-  transition of Section 2 (sliding windows and band joins included);
+* :class:`MultiJoinStepState` / :func:`multi_join_step` — the join
+  transition of Section 2 over any topology of binary equijoin queries
+  (Appendix C), with Section-7 sliding windows and band joins.  The
+  two-stream join ``R⋈S`` is its 2-stream topology:
+  :func:`make_join_state` builds that state and :func:`join_step`
+  advances it, each a few lines over the shared pair;
 * :class:`CacheStepState` / :func:`cache_step` — the classic caching
-  transition (reference stream against a database);
-* :class:`MultiJoinStepState` / :func:`multi_join_step` — the
-  Appendix-C multi-stream generalization.
+  transition (reference stream against a database).  Caching keeps its
+  own step: Theorem 1 equates hits with reduced-join results, but the
+  reduction doubles the tuples per step.
 
 Each ``*_step`` function applies exactly one time step to the state and
-returns a :class:`JoinStepOutcome` / :class:`CacheStepOutcome` /
-:class:`MultiJoinStepOutcome` describing what happened (results
-produced, victims evicted, tuples admitted).  The functions are "pure"
-in the transition-system sense: all mutation is confined to the passed
-state object, the same ``(state, inputs)`` always produces the same
-``(state', outcome)``, and no global or ambient state is consulted —
-which is what makes a finite driver loop (the simulators) and a
-long-lived event loop (the server) provably the same semantics rather
-than a fork.  The parity suite (``tests/test_serve_parity.py``) pins
-this: a seeded stream replayed through the scalar simulator and through
-a single-shard server produces byte-identical eviction decisions and
-observability counters.
+returns a :class:`MultiJoinStepOutcome` / :class:`CacheStepOutcome`
+describing what happened (results produced, victims evicted, tuples
+admitted).  The functions are "pure" in the transition-system sense: all
+mutation is confined to the passed state object, the same ``(state,
+inputs)`` always produces the same ``(state', outcome)``, and no global
+or ambient state is consulted — which is what makes a finite driver loop
+(the simulators) and a long-lived event loop (the server) provably the
+same semantics rather than a fork.  The parity suites
+(``tests/test_serve_parity.py``, ``tests/test_multi_binary_equivalence.py``)
+pin this: a seeded stream replayed through the scalar simulator and
+through a single-shard server produces byte-identical eviction decisions
+and observability counters.
 
 All :mod:`repro.obs` instrumentation lives *inside* the step functions
 (guarded on :attr:`~repro.obs.recorder.Recorder.enabled` /
@@ -47,26 +50,42 @@ from ..policies.base import (
     PolicyContext,
     ReplacementPolicy,
     WindowOracle,
+    binary_topology,
     validate_victims,
 )
 from ..streams.base import StreamModel, Value
 
 __all__ = [
-    "JoinStepState",
-    "JoinStepOutcome",
+    "check_run_params",
+    "MultiJoinStepState",
+    "MultiJoinStepOutcome",
+    "multi_partner_names",
     "make_join_state",
+    "build_multi_join_state",
     "join_step",
+    "multi_join_step",
     "CacheStepState",
     "CacheStepOutcome",
     "make_cache_state",
     "cache_step",
-    "MultiJoinStepState",
-    "MultiJoinStepOutcome",
-    "multi_partner_names",
-    "make_multi_join_state",
-    "build_multi_join_state",
-    "multi_join_step",
 ]
+
+
+def check_run_params(
+    cache_size: int,
+    warmup: int = 0,
+    window: Optional[int] = None,
+    band: int = 0,
+) -> None:
+    """Reject invalid run parameters with the diagnostics every tier shares."""
+    if cache_size < 1:
+        raise ValueError("cache_size must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be nonnegative")
+    if window is not None and window < 0:
+        raise ValueError("window must be nonnegative")
+    if band < 0:
+        raise ValueError("band must be nonnegative")
 
 
 def _reset_policy(policy: ReplacementPolicy, ctx: PolicyContext) -> None:
@@ -91,27 +110,56 @@ def _victim_records(victims: Sequence[StreamTuple]) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Two-stream equijoin
+# Joins: any topology of binary equijoin queries
 # ----------------------------------------------------------------------
 @dataclass
-class JoinStepState:
-    """Mutable state of one two-stream join run, step by step.
+class MultiJoinStepState:
+    """Mutable state of one join run, step by step.
 
-    Built by :func:`make_join_state`; advanced by :func:`join_step`.
-    The fields mirror :class:`~repro.sim.join_sim.JoinSimulator`'s
-    constructor parameters plus the live run state (cache, uid factory,
-    policy context, cumulative result count).
+    Built by :func:`make_join_state` (the binary join ``R⋈S``) or
+    :func:`build_multi_join_state` (any query set); advanced by
+    :func:`multi_join_step`.  ``ctx`` is the partner-aware
+    :class:`~repro.policies.base.PolicyContext` addressing streams by
+    name; its ``window`` is the Section-7 sliding window.
     """
 
     cache_size: int
     policy: ReplacementPolicy
     ctx: PolicyContext
+    #: Stream names that participate in this run, in arrival order.
+    names: Sequence[str]
+    #: Band-join width: an arrival with value ``v`` joins cached partner
+    #: tuples with values in ``[v − band, v + band]`` (0: equijoin).
+    band: int = 0
+    #: The recorded set, fixed when the state is built: ``True``
+    #: (``make_join_state``) adds ``r=`` to ``occupancy`` trace events
+    #: and records no ``cache.hit_rate``; ``False`` records the n-way
+    #: probe hit rate and no ``r=``.
+    binary: bool = False
     cache: CacheState = field(default_factory=CacheState)
     factory: TupleFactory = field(default_factory=TupleFactory)
-    window: Optional[int] = None
-    band: int = 0
-    #: Cumulative join results produced so far (all steps).
+    #: results attributed to each query (unordered stream-name pair).
+    per_query: dict = field(default_factory=dict)
     total_results: int = 0
+    #: Cumulative probe outcomes: a non-"−" arrival of a query stream
+    #: that matched ≥1 cached partner tuple counts as one hit, else one
+    #: miss.  Feeds the ``cache.hit_rate`` series, so a binary run,
+    #: which records none, counts none.
+    probe_hits: int = 0
+    probe_misses: int = 0
+    #: Per stream, in :attr:`names` order: its ``(partner, query key)``
+    #: probe edges (empty for streams in no query, which are never
+    #: cached).
+    probes: tuple = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.probes = tuple(
+            tuple(
+                (partner, frozenset((name, partner)))
+                for partner in self.ctx.partners_of(name)
+            )
+            for name in self.names
+        )
 
     @property
     def recorder(self) -> Recorder:
@@ -120,12 +168,12 @@ class JoinStepState:
 
 
 @dataclass
-class JoinStepOutcome:
-    """What one :func:`join_step` application did."""
+class MultiJoinStepOutcome:
+    """What one :func:`multi_join_step` application did."""
 
     #: Join results produced by this step's arrivals.
     results: int
-    #: Tuples minted for this step's non-"−" arrivals.
+    #: Tuples minted for this step's non-"−" query-stream arrivals.
     new_tuples: list[StreamTuple]
     #: Tuples the policy evicted (may include new arrivals never admitted).
     victims: list[StreamTuple]
@@ -135,8 +183,55 @@ class JoinStepOutcome:
     expired: list[StreamTuple]
     #: Cache occupancy after the step.
     occupancy: int
-    #: Cached R-side tuples after the step.
-    r_occupancy: int
+
+
+def multi_partner_names(
+    queries: Sequence[tuple[str, str]],
+) -> dict[str, tuple[str, ...]]:
+    """Validate a query set and derive the partner map.
+
+    Queries are binary equijoins as stream-name pairs; a pair may appear
+    once and self-joins are rejected.  Returns ``stream name -> names it
+    has a join query with`` (partner order follows query order).  Shared
+    by the simulator, the batch engine, and the server so every tier
+    rejects malformed topologies with the same diagnostics.
+    """
+    if not queries:
+        raise ValueError("need at least one join query")
+    partner_names: dict[str, list[str]] = {}
+    seen = set()
+    for a, b in queries:
+        if a == b:
+            raise ValueError(f"self-join {a!r} not supported")
+        key = frozenset((a, b))
+        if key in seen:
+            raise ValueError(f"duplicate query {a!r}-{b!r}")
+        seen.add(key)
+        partner_names.setdefault(a, []).append(b)
+        partner_names.setdefault(b, []).append(a)
+    return {name: tuple(ps) for name, ps in partner_names.items()}
+
+
+def _join_state(
+    ctx: PolicyContext,
+    policy: ReplacementPolicy,
+    names: Sequence[str],
+    queries: Sequence[tuple[str, str]],
+    band: int,
+    binary: bool,
+) -> MultiJoinStepState:
+    """Validate the run parameters, reset the policy, assemble the state."""
+    check_run_params(ctx.cache_size, window=ctx.window, band=band)
+    _reset_policy(policy, ctx)
+    return MultiJoinStepState(
+        cache_size=ctx.cache_size,
+        policy=policy,
+        ctx=ctx,
+        names=tuple(names),
+        band=band,
+        binary=binary,
+        per_query={frozenset(q): 0 for q in queries},
+    )
 
 
 def make_join_state(
@@ -149,71 +244,99 @@ def make_join_state(
     s_model: Optional[StreamModel] = None,
     window_oracle: Optional[WindowOracle] = None,
     recorder: Recorder = NULL_RECORDER,
-) -> JoinStepState:
-    """Validate parameters, build the policy context, reset the policy.
+) -> MultiJoinStepState:
+    """The binary join ``R⋈S`` as a step-ready 2-stream topology.
 
-    This is the shared "run starts now" ritual of every join driver:
-    the returned state is ready for its first :func:`join_step` call.
+    This is the shared "run starts now" ritual of every binary join
+    driver: validate, build the policy context, reset the policy.
     """
-    if cache_size < 1:
-        raise ValueError("cache_size must be >= 1")
-    if window is not None and window < 0:
-        raise ValueError("window must be nonnegative")
-    if band < 0:
-        raise ValueError("band must be nonnegative")
+    names, _ = binary_topology("join")
     ctx = PolicyContext(
         kind="join",
         time=-1,
         cache_size=cache_size,
-        r_model=r_model,
-        s_model=s_model,
         window=window,
         window_oracle=window_oracle,
         recorder=recorder,
+        histories={name: [] for name in names},
+        models={"R": r_model, "S": s_model},
     )
-    _reset_policy(policy, ctx)
-    return JoinStepState(
+    return _join_state(ctx, policy, names, [("R", "S")], band, binary=True)
+
+
+def build_multi_join_state(
+    cache_size: int,
+    policy: ReplacementPolicy,
+    queries: Sequence[tuple[str, str]],
+    names: Sequence[str],
+    *,
+    window: Optional[int] = None,
+    band: int = 0,
+    models: Optional[Mapping[str, StreamModel]] = None,
+    recorder: Recorder = NULL_RECORDER,
+) -> MultiJoinStepState:
+    """Validate the topology, build the partner-aware context, reset the
+    policy — the n-way counterpart of :func:`make_join_state`, shared
+    by :class:`~repro.sim.multi_join.MultiJoinSimulator` and the
+    :mod:`repro.serve` event loop."""
+    partner_names = multi_partner_names(queries)
+    missing = set(partner_names) - set(names)
+    if missing:
+        raise ValueError(f"queries reference unknown streams {missing}")
+    ctx = PolicyContext(
+        kind="multi_join",
+        time=-1,
         cache_size=cache_size,
-        policy=policy,
-        ctx=ctx,
         window=window,
-        band=band,
+        recorder=recorder,
+        partner_names=partner_names,
+        histories={name: [] for name in names},
+        models=dict(models or {}),
     )
+    return _join_state(ctx, policy, names, queries, band, binary=False)
 
 
-def join_step(
-    state: JoinStepState, t: int, r_val: Value, s_val: Value
-) -> JoinStepOutcome:
-    """Apply one join time step: arrivals, expiry, probe, admit/evict.
+def multi_join_step(
+    state: MultiJoinStepState, t: int, values: Sequence[Value]
+) -> MultiJoinStepOutcome:
+    """Apply one join step: arrivals, expiry, probes, admit/evict.
 
-    Semantics are exactly those of Section 2 as implemented by
-    :class:`~repro.sim.join_sim.JoinSimulator` (whose loop is now a
-    driver over this function): same-step R/S arrivals do not join each
-    other, "−" (``None``) arrivals join nothing and are not cacheable,
-    and expired tuples leave the cache before the policy is consulted.
+    ``values[i]`` is this step's arrival on stream ``state.names[i]``
+    (``None`` is the paper's "−").  Expired tuples leave the cache
+    before the policy is consulted.  Each non-"−" arrival probes the
+    cached tuples of every partner stream (within ``state.band``);
+    results are attributed to their (unordered) query pair.  Same-step
+    arrivals do not join each other, "−" arrivals join nothing and are
+    not cacheable, and streams that appear in no query are observed
+    (their histories grow) but never cached.  Matched tuples receive
+    :meth:`~repro.policies.base.ReplacementPolicy.on_reference`, and
+    evictions/admissions fire the corresponding hooks.
     """
     cache = state.cache
     policy = state.policy
     ctx = state.ctx
-    rec = ctx.recorder
+    rec: Recorder = ctx.recorder
     rec_on = rec.enabled
     rec_trace = rec.trace
-    policy_name = policy.name
+    policy_name: str = policy.name
+    names = state.names
 
     ctx.time = t
-    ctx.record_arrival("R", r_val)
-    ctx.record_arrival("S", s_val)
+    record_arrival = ctx.record_arrival
+    for name, val in zip(names, values):
+        record_arrival(name, val)
     if rec_on:
         rec.count("sim.steps")
-        for side, val in (("R", r_val), ("S", s_val)):
-            rec.count("arrivals.null" if val is None else f"arrivals.{side}")
+        for name, val in zip(names, values):
+            rec.count("arrivals.null" if val is None else f"arrivals.{name}")
             if rec_trace:
-                rec.event("arrival", t, side=side, value=val)
+                rec.event("arrival", t, side=name, value=val)
 
     # Sliding-window expiry: free removal of dead tuples.
     expired: list[StreamTuple] = []
-    if state.window is not None:
-        expired = cache.expired(t - state.window)
+    window = ctx.window
+    if window is not None:
+        expired = cache.expired(t - window)
         if expired and rec_on:
             rec.count("evict.window_expired", len(expired))
             if rec_trace:
@@ -228,23 +351,38 @@ def join_step(
             cache.remove(dead)
             policy.on_evict(dead, t)
 
-    # New arrivals join cached partner tuples.
+    # New arrivals join cached partner tuples; they are minted here but
+    # admitted only after selection, so same-step arrivals never join.
     step_results = 0
-    for side, val in (("R", r_val), ("S", s_val)):
-        partner_side = "S" if side == "R" else "R"
-        for match in cache.matching_band(partner_side, val, state.band):
-            step_results += 1
-            policy.on_reference(match, t)
+    band = state.band
+    per_query = state.per_query
+    make = state.factory.make
+    count_probes = not state.binary
+    new_tuples = []
+    for name, val, probes in zip(names, values, state.probes):
+        if val is None or not probes:
+            continue
+        arrival_results = 0
+        for partner, query in probes:
+            if band:
+                matches = cache.matching_band(partner, val, band)
+            else:
+                matches = cache.matching(partner, val)
+            if matches:
+                arrival_results += len(matches)
+                per_query[query] += len(matches)
+                for match in matches:
+                    policy.on_reference(match, t)
+        step_results += arrival_results
+        if count_probes:
+            if arrival_results:
+                state.probe_hits += 1
+            else:
+                state.probe_misses += 1
+        new_tuples.append(make(name, val, t))
     state.total_results += step_results
 
-    # Candidate set: cache plus joinable new arrivals.
-    new_tuples = []
-    if r_val is not None:
-        new_tuples.append(state.factory.make("R", r_val, t))
-    if s_val is not None:
-        new_tuples.append(state.factory.make("S", s_val, t))
     candidates = cache.tuples() + new_tuples
-
     n_evict = max(0, len(candidates) - state.cache_size)
     victims = validate_victims(
         policy_name,
@@ -261,7 +399,6 @@ def join_step(
                 policy=policy_name,
                 victims=_victim_records(victims),
             )
-
     victim_uids = {v.uid for v in victims}
     for tup in victims:
         if tup in cache:
@@ -275,25 +412,39 @@ def join_step(
             admitted.append(tup)
 
     occupancy = len(cache)
-    r_occupancy = cache.count_side("R")
     if rec_on:
         if step_results:
             rec.count("join.results", step_results)
         rec.series("cache.occupancy", t, occupancy)
         rec.series("join.results.cum", t, state.total_results)
+        if not state.binary:
+            n_probes = state.probe_hits + state.probe_misses
+            if n_probes:
+                rec.series("cache.hit_rate", t, state.probe_hits / n_probes)
         if rec_trace:
             rec.event("step", t, results=step_results)
-            rec.event("occupancy", t, total=occupancy, r=r_occupancy)
+            if state.binary:
+                rec.event(
+                    "occupancy", t, total=occupancy, r=cache.count_side("R")
+                )
+            else:
+                rec.event("occupancy", t, total=occupancy)
 
-    return JoinStepOutcome(
+    return MultiJoinStepOutcome(
         results=step_results,
         new_tuples=new_tuples,
         victims=victims,
         admitted=admitted,
         expired=expired,
         occupancy=occupancy,
-        r_occupancy=r_occupancy,
     )
+
+
+def join_step(
+    state: MultiJoinStepState, t: int, r_val: Value, s_val: Value
+) -> MultiJoinStepOutcome:
+    """One step of the binary join: :func:`multi_join_step` over ``(R, S)``."""
+    return multi_join_step(state, t, (r_val, s_val))
 
 
 # ----------------------------------------------------------------------
@@ -341,14 +492,14 @@ def make_cache_state(
     recorder: Recorder = NULL_RECORDER,
 ) -> CacheStepState:
     """Validate parameters, build the policy context, reset the policy."""
-    if cache_size < 1:
-        raise ValueError("cache_size must be >= 1")
+    check_run_params(cache_size)
     ctx = PolicyContext(
         kind="cache",
         time=-1,
         cache_size=cache_size,
-        r_model=reference_model,
         recorder=recorder,
+        histories={name: [] for name in binary_topology("cache")[0]},
+        models={"R": reference_model},
     )
     _reset_policy(policy, ctx)
     return CacheStepState(cache_size=cache_size, policy=policy, ctx=ctx)
@@ -370,7 +521,6 @@ def cache_step(
     rec = ctx.recorder
     rec_on = rec.enabled
     rec_trace = rec.trace
-    policy_name = policy.name
 
     ctx.time = t
     ctx.record_arrival("R", value)
@@ -395,292 +545,49 @@ def cache_step(
     if cached:
         state.hits += 1
         policy.on_reference(cached[0], t)
-        if rec_on:
-            rec.series("cache.occupancy", t, len(cache))
-            rec.series("cache.hits.cum", t, state.hits)
-            rec.series(
-                "cache.hit_rate", t, state.hits / (state.hits + state.misses)
-            )
-        return CacheStepOutcome(
-            hit=True, victims=[], admitted=None, occupancy=len(cache)
+        victims: list[StreamTuple] = []
+        admitted: Optional[StreamTuple] = None
+    else:
+        state.misses += 1
+        fetched = state.factory.make("S", value, t)
+        candidates = cache.tuples() + [fetched]
+        n_evict = max(0, len(candidates) - state.cache_size)
+        victims = validate_victims(
+            policy.name,
+            candidates,
+            policy.select_victims(candidates, n_evict, ctx),
+            n_evict,
         )
-
-    state.misses += 1
-    fetched = state.factory.make("S", value, t)
-    candidates = cache.tuples() + [fetched]
-    n_evict = max(0, len(candidates) - state.cache_size)
-    victims = validate_victims(
-        policy_name,
-        candidates,
-        policy.select_victims(candidates, n_evict, ctx),
-        n_evict,
-    )
-    if victims and rec_on:
-        rec.count(f"evict.{policy_name}", len(victims))
-        if rec_trace:
-            rec.event(
-                "evict",
-                t,
-                policy=policy_name,
-                victims=_victim_records(victims),
-            )
-    victim_uids = {v.uid for v in victims}
-    for tup in victims:
-        if tup in cache:
-            cache.remove(tup)
-        policy.on_evict(tup, t)
-    admitted: Optional[StreamTuple] = None
-    if fetched.uid not in victim_uids:
-        cache.add(fetched)
-        policy.on_admit(fetched, t)
-        admitted = fetched
+        if victims and rec_on:
+            rec.count(f"evict.{policy.name}", len(victims))
+            if rec_trace:
+                rec.event(
+                    "evict",
+                    t,
+                    policy=policy.name,
+                    victims=_victim_records(victims),
+                )
+        victim_uids = {v.uid for v in victims}
+        for tup in victims:
+            if tup in cache:
+                cache.remove(tup)
+            policy.on_evict(tup, t)
+        admitted = None
+        if fetched.uid not in victim_uids:
+            cache.add(fetched)
+            policy.on_admit(fetched, t)
+            admitted = fetched
     if rec_on:
         rec.series("cache.occupancy", t, len(cache))
         rec.series("cache.hits.cum", t, state.hits)
         rec.series(
             "cache.hit_rate", t, state.hits / (state.hits + state.misses)
         )
-        if rec_trace:
+        if rec_trace and not cached:
             rec.event("occupancy", t, total=len(cache))
     return CacheStepOutcome(
-        hit=False, victims=victims, admitted=admitted, occupancy=len(cache)
-    )
-
-
-# ----------------------------------------------------------------------
-# Multi-stream joins (Appendix C)
-# ----------------------------------------------------------------------
-@dataclass
-class MultiJoinStepState:
-    """Mutable state of one multi-stream join run, step by step.
-
-    ``ctx`` is a partner-aware :class:`~repro.policies.base.PolicyContext`
-    (``kind="multi_join"``) addressing streams by name.
-    """
-
-    cache_size: int
-    policy: ReplacementPolicy
-    ctx: PolicyContext
-    #: stream name -> names it has a join query with.
-    partner_names: Mapping[str, tuple[str, ...]]
-    #: Stream names that participate in this run, in arrival order.
-    names: Sequence[str]
-    cache: CacheState = field(default_factory=CacheState)
-    factory: TupleFactory = field(default_factory=TupleFactory)
-    #: results attributed to each query (unordered stream-name pair).
-    per_query: dict = field(default_factory=dict)
-    total_results: int = 0
-    #: Cumulative probe outcomes: a non-"−" arrival of a query stream
-    #: that matched ≥1 cached partner tuple counts as one hit, else one
-    #: miss.  Feeds the ``cache.hit_rate`` series.
-    probe_hits: int = 0
-    probe_misses: int = 0
-
-    @property
-    def recorder(self) -> Recorder:
-        """The observability sink the run was built with."""
-        return self.ctx.recorder
-
-
-@dataclass
-class MultiJoinStepOutcome:
-    """What one :func:`multi_join_step` application did."""
-
-    results: int
-    new_tuples: list[StreamTuple]
-    victims: list[StreamTuple]
-    admitted: list[StreamTuple]
-    occupancy: int
-
-
-def multi_partner_names(
-    queries: Sequence[tuple[str, str]],
-) -> dict[str, tuple[str, ...]]:
-    """Validate a query set and derive the partner map.
-
-    Queries are binary equijoins as stream-name pairs; a pair may appear
-    once and self-joins are rejected.  Returns ``stream name -> names it
-    has a join query with`` (partner order follows query order).  Shared
-    by the simulator, the batch engine, and the server so every tier
-    rejects malformed topologies with the same diagnostics.
-    """
-    if not queries:
-        raise ValueError("need at least one join query")
-    partner_names: dict[str, list[str]] = {}
-    seen = set()
-    for a, b in queries:
-        if a == b:
-            raise ValueError(f"self-join {a!r} not supported")
-        key = frozenset((a, b))
-        if key in seen:
-            raise ValueError(f"duplicate query {a!r}-{b!r}")
-        seen.add(key)
-        partner_names.setdefault(a, []).append(b)
-        partner_names.setdefault(b, []).append(a)
-    return {name: tuple(ps) for name, ps in partner_names.items()}
-
-
-def make_multi_join_state(
-    cache_size: int,
-    policy: ReplacementPolicy,
-    ctx: PolicyContext,
-    partner_names: Mapping[str, tuple[str, ...]],
-    names: Sequence[str],
-    queries: Sequence[tuple[str, str]],
-) -> MultiJoinStepState:
-    """Bind a prepared multi-join context into a step-ready state.
-
-    This low-level constructor only assembles the state and seeds the
-    per-query result counters; most callers want
-    :func:`build_multi_join_state`, which also builds the context and
-    resets the policy.
-    """
-    if cache_size < 1:
-        raise ValueError("cache_size must be >= 1")
-    return MultiJoinStepState(
-        cache_size=cache_size,
-        policy=policy,
-        ctx=ctx,
-        partner_names=partner_names,
-        names=list(names),
-        per_query={frozenset(q): 0 for q in queries},
-    )
-
-
-def build_multi_join_state(
-    cache_size: int,
-    policy: ReplacementPolicy,
-    queries: Sequence[tuple[str, str]],
-    names: Sequence[str],
-    *,
-    models: Optional[Mapping[str, StreamModel]] = None,
-    recorder: Recorder = NULL_RECORDER,
-) -> MultiJoinStepState:
-    """Validate the topology, build the partner-aware context, reset the
-    policy — the multi-join analogue of :func:`make_join_state`, shared
-    by :class:`~repro.sim.multi_join.MultiJoinSimulator` and the
-    :mod:`repro.serve` event loop."""
-    partner_names = multi_partner_names(queries)
-    ctx = PolicyContext(
-        kind="multi_join",
-        time=-1,
-        cache_size=cache_size,
-        partner_names=partner_names,
-        histories={name: [] for name in names},
-        models=models,
-        recorder=recorder,
-    )
-    _reset_policy(policy, ctx)
-    return make_multi_join_state(
-        cache_size, policy, ctx, partner_names, names, queries
-    )
-
-
-def multi_join_step(
-    state: MultiJoinStepState, t: int, arrivals: Mapping[str, Value]
-) -> MultiJoinStepOutcome:
-    """Apply one multi-stream step: arrivals, probes, admit/evict.
-
-    Each non-"−" arrival probes the cached tuples of every partner
-    stream; results are attributed to their (unordered) query pair.
-    Streams that appear in no query are observed (their histories grow)
-    but never cached.  Matched tuples receive
-    :meth:`~repro.policies.base.ReplacementPolicy.on_reference`, and
-    evictions/admissions fire the corresponding hooks, so bookkeeping
-    policies (LRU, LFU) work on n-way topologies unchanged.
-    """
-    cache = state.cache
-    policy = state.policy
-    ctx = state.ctx
-    rec: Recorder = ctx.recorder
-    rec_on = rec.enabled
-    rec_trace = rec.trace
-    policy_name: str = policy.name
-    names = state.names
-
-    ctx.time = t
-    for name in names:
-        ctx.record_arrival(name, arrivals[name])
-    if rec_on:
-        rec.count("sim.steps")
-        for name in names:
-            val = arrivals[name]
-            rec.count("arrivals.null" if val is None else f"arrivals.{name}")
-            if rec_trace:
-                rec.event("arrival", t, side=name, value=val)
-
-    step_results = 0
-    for name in names:
-        val = arrivals[name]
-        if val is None:
-            continue
-        arrival_results = 0
-        for partner_name in state.partner_names.get(name, ()):
-            matches = cache.matching(partner_name, val)
-            arrival_results += len(matches)
-            state.per_query[frozenset((name, partner_name))] += len(matches)
-            for match in matches:
-                policy.on_reference(match, t)
-        if name in state.partner_names:
-            if arrival_results:
-                state.probe_hits += 1
-            else:
-                state.probe_misses += 1
-        step_results += arrival_results
-    state.total_results += step_results
-
-    new_tuples = [
-        state.factory.make(name, arrivals[name], t)
-        for name in names
-        if arrivals[name] is not None
-        and name in state.partner_names  # streams in no query
-    ]
-    candidates = cache.tuples() + new_tuples
-    n_evict = max(0, len(candidates) - state.cache_size)
-    victims = validate_victims(
-        policy_name,
-        candidates,
-        policy.select_victims(candidates, n_evict, ctx),
-        n_evict,
-    )
-    if victims and rec_on:
-        rec.count(f"evict.{policy_name}", len(victims))
-        if rec_trace:
-            rec.event(
-                "evict",
-                t,
-                policy=policy_name,
-                victims=_victim_records(victims),
-            )
-    victim_uids = {v.uid for v in victims}
-    for tup in victims:
-        if tup in cache:
-            cache.remove(tup)
-        policy.on_evict(tup, t)
-    admitted = []
-    for tup in new_tuples:
-        if tup.uid not in victim_uids:
-            cache.add(tup)
-            policy.on_admit(tup, t)
-            admitted.append(tup)
-
-    occupancy = len(cache)
-    if rec_on:
-        if step_results:
-            rec.count("join.results", step_results)
-        rec.series("cache.occupancy", t, occupancy)
-        rec.series("join.results.cum", t, state.total_results)
-        probes = state.probe_hits + state.probe_misses
-        if probes:
-            rec.series("cache.hit_rate", t, state.probe_hits / probes)
-        if rec_trace:
-            rec.event("step", t, results=step_results)
-            rec.event("occupancy", t, total=occupancy)
-
-    return MultiJoinStepOutcome(
-        results=step_results,
-        new_tuples=new_tuples,
+        hit=bool(cached),
         victims=victims,
         admitted=admitted,
-        occupancy=occupancy,
+        occupancy=len(cache),
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import re
 
+import numpy as np
 import pytest
 
 from repro.core.lifetime import LExp
@@ -22,6 +23,7 @@ from repro.experiments.configs import (
 )
 from repro.policies import available_policies, make_policy
 from repro.policies.heeb_policy import GenericJoinHeeb, HeebPolicy
+from repro.sim.runner import run_experiment
 from repro.sim.engine import (
     BatchEngine,
     Engine,
@@ -73,6 +75,33 @@ class TestExperimentSpec:
     def test_multi_join_needs_queries(self):
         with pytest.raises(ValueError, match="at least one query"):
             ExperimentSpec(kind="multi_join", cache_size=4)
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(window=3), dict(band=2), dict(window=3, band=2)]
+    )
+    def test_cache_spec_rejects_join_only_parameters(self, overrides):
+        with pytest.raises(ValueError, match="window and band"):
+            ExperimentSpec(kind="cache", cache_size=4, **overrides)
+
+    @pytest.mark.parametrize("engine", [None, "batch"])
+    def test_windowed_multi_join_equals_join(self, engine):
+        """Regression: multi-join specs used to ignore ``window`` (61
+        results against the join spec's 34 on this stream)."""
+        rng = np.random.default_rng(0)
+        r = [int(v) for v in rng.integers(0, 4, size=60)]
+        s = [int(v) for v in rng.integers(0, 4, size=60)]
+        join = ExperimentSpec(kind="join", cache_size=4, window=1)
+        multi = ExperimentSpec(
+            kind="multi_join", cache_size=4, window=1, queries=(("R", "S"),)
+        )
+        factory = lambda: make_policy("lru")  # noqa: E731
+        join_run = run_experiment(join, factory, [(r, s)], engine=engine)
+        multi_run = run_experiment(
+            multi, factory, [{"R": r, "S": s}], engine=engine
+        )
+        assert multi_run.engine_used == join_run.engine_used
+        assert join_run.per_run[0].total_results == 34
+        assert multi_run.per_run[0].total_results == 34
 
 
 class TestSelectEngine:

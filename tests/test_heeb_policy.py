@@ -43,10 +43,8 @@ def join_ctx(r_model, s_model, time, r_hist, s_hist, cache_size=5, window=None):
         kind="join",
         time=time,
         cache_size=cache_size,
-        r_history=list(r_hist),
-        s_history=list(s_hist),
-        r_model=r_model,
-        s_model=s_model,
+        histories={"R": list(r_hist), "S": list(s_hist)},
+        models={"R": r_model, "S": s_model},
         window=window,
     )
 
@@ -207,8 +205,8 @@ class TestAR1CacheHeebPolicy:
             kind="cache",
             time=3,
             cache_size=5,
-            r_history=[model.to_bucket(center)] * 4,
-            r_model=model,
+            histories={"R": [model.to_bucket(center)] * 4},
+            models={"R": model},
         )
         near = StreamTuple(0, "S", model.to_bucket(center), 0)
         far = StreamTuple(1, "S", model.to_bucket(center + 5.5), 0)
@@ -224,8 +222,8 @@ class TestGenericCacheHeeb:
             kind="cache",
             time=2,
             cache_size=3,
-            r_history=[1, 2, 1],
-            r_model=stationary_stream,
+            histories={"R": [1, 2, 1]},
+            models={"R": stationary_stream},
         )
         tup = StreamTuple(0, "S", 1, 0)
         assert strategy.h_value(tup, ctx) == pytest.approx(
@@ -361,10 +359,8 @@ def _block_ctx(name, with_history):
         kind=kind,
         time=_T0,
         cache_size=5,
-        r_history=r_hist,
-        s_history=s_hist if kind == "join" else [],
-        r_model=r_model,
-        s_model=s_model,
+        histories={"R": r_hist, "S": s_hist if kind == "join" else []},
+        models={"R": r_model, "S": s_model},
     )
 
 

@@ -1,6 +1,14 @@
-"""The multi-join simulator reduces to the binary one for two streams."""
+"""The multi-join simulator reduces to the binary one for two streams.
+
+The binary join runs as the 2-stream multi-join on every tier, so these
+suites also pin Section-7 windows and band joins on the shared step:
+binary against 2-stream multi-join, and scalar against batch against a
+1-shard server.
+"""
 
 from __future__ import annotations
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -8,9 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lifetime import LExp
+from repro.experiments.configs import make_multi_config
+from repro.obs import CounterRecorder
+from repro.policies import make_policy
 from repro.policies.heeb_policy import GenericJoinHeeb, HeebPolicy
+from repro.serve import StreamServer, run_replay
+from repro.sim.engine import ExperimentSpec, ParallelEngine, spawn_rng
 from repro.sim.join_sim import JoinSimulator
 from repro.sim.multi_join import MultiJoinSimulator
+from repro.sim.runner import run_experiment
 from repro.policies.base import ReplacementPolicy, ScoredPolicy
 from repro.streams import StationaryStream, from_mapping
 
@@ -38,20 +52,32 @@ value_lists = st.lists(
     min_size=1,
     max_size=30,
 )
+windows = st.one_of(st.none(), st.integers(min_value=0, max_value=5))
+bands = st.integers(min_value=0, max_value=2)
 
 
 class TestTwoStreamEquivalence:
-    @given(value_lists, value_lists, st.integers(1, 4))
+    @given(value_lists, value_lists, st.integers(1, 4), windows, bands)
     @settings(max_examples=50, deadline=None)
-    def test_same_results_with_value_deterministic_policy(self, r, s, k):
+    def test_same_results_with_value_deterministic_policy(
+        self, r, s, k, window, band
+    ):
         """A value-deterministic policy produces identical result counts
         through both simulators when the multi-join runs the single query
-        R⋈S."""
-        binary = JoinSimulator(k, KeepLargestValueBinary()).run(r, s)
+        R⋈S, windowed and banded alike."""
+        binary = JoinSimulator(
+            k, KeepLargestValueBinary(), window=window, band=band
+        ).run(r, s)
         multi = MultiJoinSimulator(
-            k, KeepLargestValueMulti(), queries=[("R", "S")]
+            k,
+            KeepLargestValueMulti(),
+            queries=[("R", "S")],
+            window=window,
+            band=band,
         ).run({"R": r, "S": s})
         assert multi.total_results == binary.total_results
+        assert multi.per_query == {frozenset(("R", "S")): binary.total_results}
+        assert list(multi.occupancy_by_stream["R"]) == list(binary.r_occupancy)
 
     def test_per_query_attribution_sums(self):
         rng = np.random.default_rng(0)
@@ -88,9 +114,11 @@ class TestUnifiedHeebDegeneracy:
     victims at the same steps, not merely the same counts.
     """
 
-    @given(value_lists, value_lists, st.integers(1, 4))
+    @given(value_lists, value_lists, st.integers(1, 4), windows, bands)
     @settings(max_examples=25, deadline=None)
-    def test_heeb_two_stream_decisions_byte_identical(self, r, s, k):
+    def test_heeb_two_stream_decisions_byte_identical(
+        self, r, s, k, window, band
+    ):
         dist = from_mapping({v: 1.0 / 6 for v in range(6)})
         models = {"R": StationaryStream(dist), "S": StationaryStream(dist)}
 
@@ -98,6 +126,8 @@ class TestUnifiedHeebDegeneracy:
         binary = JoinSimulator(
             k,
             _RecordingHeeb(GenericJoinHeeb(LExp(4.0), horizon=20), binary_log),
+            window=window,
+            band=band,
             r_model=models["R"],
             s_model=models["S"],
         ).run(r, s)
@@ -105,8 +135,175 @@ class TestUnifiedHeebDegeneracy:
             k,
             _RecordingHeeb(GenericJoinHeeb(LExp(4.0), horizon=20), multi_log),
             queries=[("R", "S")],
+            window=window,
+            band=band,
             models=models,
         ).run({"R": r, "S": s})
 
         assert multi.total_results == binary.total_results
         assert multi_log == binary_log
+
+
+# ----------------------------------------------------------------------
+# One join step on every tier: scalar, batch and 1-shard serve
+# ----------------------------------------------------------------------
+tick_lists = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+#: Counters only the serve tier or the engines emit.
+_DRIVER_KEYS = ("serve.", "trials.", "engine.")
+
+
+def _step_counters(rec):
+    return {
+        key: value
+        for key, value in rec.counters.items()
+        if not key.startswith(_DRIVER_KEYS)
+    }
+
+
+def _tiers(spec, factory, data):
+    """Totals and step counters of one trial on scalar, batch and serve."""
+    out = {}
+    for engine in ("scalar", "batch"):
+        rec = CounterRecorder()
+        result = run_experiment(
+            spec, factory, [data], engine=engine, recorder=rec
+        )
+        assert result.engine_used == engine
+        out[engine] = (result.per_run[0].total_results, _step_counters(rec))
+    rec = CounterRecorder()
+    if spec.kind == "join":
+        summary = run_replay(spec, factory, *data, n_shards=1, recorder=rec)
+    else:
+        summary = run_replay(spec, factory, data, n_shards=1, recorder=rec)
+    out["serve"] = (summary.total_results, _step_counters(rec))
+    return out
+
+
+class TestSharedStepOnEveryTier:
+    """The binary join and the 2-stream multi-join are one step on every
+    tier, windows and bands included."""
+
+    @given(tick_lists, st.integers(1, 4), windows, bands)
+    @settings(max_examples=25, deadline=None)
+    def test_join_and_multi_join_agree_across_tiers(
+        self, ticks, k, window, band
+    ):
+        r = [a for a, _ in ticks]
+        s = [b for _, b in ticks]
+        factory = lambda: make_policy("lru")  # noqa: E731
+        join = ExperimentSpec(kind="join", cache_size=k, window=window, band=band)
+        multi = ExperimentSpec(
+            kind="multi_join",
+            cache_size=k,
+            window=window,
+            band=band,
+            queries=(("R", "S"),),
+        )
+        join_tiers = _tiers(join, factory, (r, s))
+        multi_tiers = _tiers(multi, factory, {"R": r, "S": s})
+        expected = JoinSimulator(k, make_policy("lru"), window=window, band=band)
+        total = expected.run(r, s).total_results
+        for tier in ("scalar", "batch", "serve"):
+            assert join_tiers[tier][0] == total, tier
+            assert multi_tiers[tier][0] == total, tier
+            assert join_tiers[tier][1] == join_tiers["scalar"][1], tier
+            assert multi_tiers[tier][1] == multi_tiers["scalar"][1], tier
+        assert join_tiers["scalar"][1] == multi_tiers["scalar"][1]
+
+    def test_windowed_banded_multi_join_on_parallel_tier(self):
+        rng = np.random.default_rng(5)
+        trials = [
+            [int(v) for v in rng.integers(0, 6, size=60)] for _ in range(4)
+        ]
+        paths = [(trials[i], trials[(i + 1) % 4]) for i in range(4)]
+        factory = lambda: make_policy("lru")  # noqa: E731
+        join = ExperimentSpec(kind="join", cache_size=4, window=2, band=1)
+        multi = ExperimentSpec(
+            kind="multi_join",
+            cache_size=4,
+            window=2,
+            band=1,
+            queries=(("R", "S"),),
+        )
+        engine = ParallelEngine(max_workers=2)
+        expected = [
+            run.total_results
+            for run in run_experiment(join, factory, paths).per_run
+        ]
+        got = engine.run(multi, factory, [{"R": r, "S": s} for r, s in paths])
+        assert [run.total_results for run in got.per_run] == expected
+
+
+class TestWindowedChain3:
+    """A windowed CHAIN3 topology: scalar, batch and a 1-shard server
+    agree on totals, per-query counts and counters."""
+
+    @pytest.mark.parametrize("policy_name", ["lru", "heeb"])
+    def test_tiers_agree(self, policy_name):
+        config = make_multi_config("CHAIN3")
+        rng = spawn_rng(3, 0)
+        streams = {
+            name: model.sample_path(120, rng)
+            for name, model in config.models.items()
+        }
+        for t in range(0, 120, 7):
+            streams["B"][t] = None
+        spec = ExperimentSpec(
+            kind="multi_join",
+            cache_size=16,
+            window=3,
+            queries=tuple(tuple(q) for q in config.queries),
+            models=config.models,
+        )
+        if policy_name == "heeb":
+            alpha = config.heeb_alpha_for(spec.cache_size)
+            factory = lambda: HeebPolicy(GenericJoinHeeb(LExp(alpha)))  # noqa: E731
+        else:
+            factory = lambda: make_policy("lru")  # noqa: E731
+
+        runs, counters = {}, {}
+        for engine in ("scalar", "batch"):
+            rec = CounterRecorder()
+            result = run_experiment(
+                spec, factory, [streams], engine=engine, recorder=rec
+            )
+            assert result.engine_used == engine
+            runs[engine] = result.per_run[0]
+            counters[engine] = _step_counters(rec)
+        rec = CounterRecorder()
+
+        async def serve():
+            server = StreamServer(spec, factory, recorder=rec)
+            await server.start()
+            for t in range(120):
+                await server.submit_multi(
+                    t, {name: vals[t] for name, vals in streams.items()}
+                )
+            await server.stop()
+            return server.total_results, server.per_query_results()
+
+        served_total, served_per_query = asyncio.run(
+            asyncio.wait_for(serve(), timeout=60)
+        )
+        counters["serve"] = _step_counters(rec)
+
+        scalar = runs["scalar"]
+        assert counters["scalar"].get("evict.window_expired", 0) > 0
+        assert runs["batch"].total_results == scalar.total_results
+        assert runs["batch"].per_query == scalar.per_query
+        assert served_total == scalar.total_results
+        assert served_per_query == scalar.per_query
+        assert counters["batch"] == counters["scalar"]
+        assert counters["serve"] == counters["scalar"]
+        unwindowed = MultiJoinSimulator(
+            16, factory(), config.queries, models=config.models
+        ).run(streams)
+        assert unwindowed.total_results != scalar.total_results

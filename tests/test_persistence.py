@@ -85,10 +85,8 @@ class TestAR1JoinStrategy:
             kind="join",
             time=t0,
             cache_size=5,
-            r_history=[anchor] * (t0 + 1),
-            s_history=[anchor] * (t0 + 1),
-            r_model=model,
-            s_model=model,
+            histories={"R": [anchor] * (t0 + 1), "S": [anchor] * (t0 + 1)},
+            models={"R": model, "S": model},
         )
         for i, v in enumerate(range(anchor - 4, anchor + 5)):
             tup = StreamTuple(i, "S", v, t0)
@@ -107,9 +105,7 @@ class TestAR1JoinStrategy:
             kind="join",
             time=0,
             cache_size=2,
-            r_history=[None],
-            s_history=[None],
-            r_model=model,
-            s_model=model,
+            histories={"R": [None], "S": [None]},
+            models={"R": model, "S": model},
         )
         assert strategy.h_value(StreamTuple(0, "S", 5, 0), ctx) == 0.0

@@ -32,8 +32,7 @@ def make_ctx(kind="join", time=0, cache_size=5, r_hist=None, s_hist=None, oracle
         kind=kind,
         time=time,
         cache_size=cache_size,
-        r_history=list(r_hist or []),
-        s_history=list(s_hist or []),
+        histories={"R": list(r_hist or []), "S": list(s_hist or [])},
         window_oracle=oracle,
     )
 

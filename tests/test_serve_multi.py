@@ -127,7 +127,7 @@ def test_multi_final_cache_contents_match():
         CACHE, make_policy("lru"), QUERIES, list(models), models=models
     )
     for t in range(LENGTH):
-        multi_join_step(state, t, {n: streams[n][t] for n in models})
+        multi_join_step(state, t, [streams[n][t] for n in models])
     sim_kept = sorted(
         (tup.uid, tup.side, tup.value, tup.arrival)
         for tup in state.cache.tuples()

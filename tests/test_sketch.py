@@ -49,8 +49,7 @@ def make_ctx(kind="cache", time=0, cache_size=5, r_hist=None, s_hist=None):
         kind=kind,
         time=time,
         cache_size=cache_size,
-        r_history=list(r_hist or []),
-        s_history=list(s_hist or []),
+        histories={"R": list(r_hist or []), "S": list(s_hist or [])},
     )
 
 

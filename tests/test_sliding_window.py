@@ -141,10 +141,10 @@ class TestWindowEdgeCases:
 
     def test_batch_engine_matches_on_edge_paths(self):
         from repro.policies.batch import make_batch_policy
-        from repro.sim.batch import BatchJoinSimulator, paths_to_arrays
+        from repro.sim.batch import BatchMultiJoinSimulator, streams_to_arrays
 
-        # paths_to_arrays truncates to the shortest path, so keep all
-        # trials the same length.
+        # Batch trials run in lock-step, so keep all trials the same
+        # length.
         paths = [
             ([5, None, None, None, None, None, None, None],
              [None, None, None, None, 5, None, None, None]),
@@ -157,10 +157,13 @@ class TestWindowEdgeCases:
                 JoinSimulator(8, LruPolicy(), window=window).run(r, s)
                 for r, s in paths
             ]
-            r_arr, s_arr = paths_to_arrays(paths)
-            batch = BatchJoinSimulator(
-                8, make_batch_policy(LruPolicy()), window=window
-            ).run(r_arr, s_arr)
+            batch = BatchMultiJoinSimulator(
+                8,
+                make_batch_policy(LruPolicy()),
+                [("R", "S")],
+                window=window,
+                binary=True,
+            ).run(streams_to_arrays([{"R": r, "S": s} for r, s in paths]))
             for i, run in enumerate(batch.unbatch()):
                 assert run.total_results == scalar[i].total_results, (
                     window,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.tuples import CacheState, StreamTuple, TupleFactory, partner
 
@@ -117,3 +119,31 @@ class TestCacheState:
             c.add(t)
         c.remove_many(ts[:2])
         assert len(c) == 2
+
+
+class TestCountSideProperty:
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from(["R", "S", "A"]),
+                st.one_of(st.none(), st.integers(0, 3)),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_counts_equal_a_scan(self, ops):
+        """After any add/remove sequence the O(1) per-side counts equal
+        a full scan of the cached tuples."""
+        cache = CacheState()
+        factory = TupleFactory()
+        for add, side, value in ops:
+            cached = [t for t in cache if t.side == side]
+            if add or not cached:
+                cache.add(factory.make(side, value, 0))
+            else:
+                cache.remove(cached[0])
+            for name in ("R", "S", "A", "Z"):
+                scan = sum(1 for t in cache.tuples() if t.side == name)
+                assert cache.count_side(name) == scan

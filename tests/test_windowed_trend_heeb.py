@@ -20,10 +20,8 @@ def ctx_for(r_model, s_model, t0, window=None):
         kind="join",
         time=t0,
         cache_size=5,
-        r_history=[t0] * (t0 + 1),
-        s_history=[t0] * (t0 + 1),
-        r_model=r_model,
-        s_model=s_model,
+        histories={"R": [t0] * (t0 + 1), "S": [t0] * (t0 + 1)},
+        models={"R": r_model, "S": s_model},
         window=window,
     )
 
