@@ -11,19 +11,19 @@ from .fastpath import (
     LookaheadTemplate,
     flowexpect_decide_fast,
     solve_leave_slots,
-    solve_unit_flow,
     unit_flow_costs,
 )
 from .flowexpect import FlowExpectDecision, flowexpect_decide
 from .graph import LookaheadGraph, build_lookahead_graph, expected_match_prob
 from .opt_offline import OfflineSolution, match_times, solve_opt_offline
 from .prob_table import FrameStep, ProbTable
-from .solver import COST_SCALE, solve_min_cost_flow
+from .solver import COST_SCALE, FlowGraph, solve_min_cost_flow, solve_unit_flow
 
 __all__ = [
     "COST_SCALE",
     "FlowExpectDecision",
     "FlowExpectFastPath",
+    "FlowGraph",
     "FrameStep",
     "LeaveSlots",
     "LookaheadGraph",

@@ -30,10 +30,11 @@ avoidable:
   at ``d`` forfeits the entity's benefits from ``d`` on, so
   :func:`solve_leave_slots` builds that small rectangular cost matrix
   with numpy and solves it with one
-  :func:`scipy.optimize.linear_sum_assignment` call.  The successive-
-  shortest-paths :func:`solve_unit_flow` over a
-  :class:`LookaheadTemplate` stays as the exact fallback for costs too
-  large for float64 (see :func:`solve_leave_slots`).
+  :func:`scipy.optimize.linear_sum_assignment` call.  The shared
+  successive-shortest-paths :func:`~repro.flow.solver.solve_unit_flow`
+  (OPT-offline's solver) over a :class:`LookaheadTemplate` stays as the
+  exact fallback for costs too large for float64 (see
+  :func:`solve_leave_slots`).
 
 Decisions are *identical* to the reference path, not merely equally
 good: both paths round float costs to integers with the same expression
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from heapq import heappop, heappush
 from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
@@ -60,7 +60,7 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 from ..streams.base import History, StreamModel
 from .flowexpect import FlowExpectDecision
 from .prob_table import ProbTable
-from .solver import COST_SCALE
+from .solver import COST_SCALE, FlowGraph, solve_unit_flow
 
 __all__ = [
     "LeaveSlots",
@@ -68,7 +68,6 @@ __all__ = [
     "FlowExpectFastPath",
     "flowexpect_decide_fast",
     "solve_leave_slots",
-    "solve_unit_flow",
     "unit_flow_costs",
 ]
 
@@ -82,7 +81,7 @@ def _born_slices(n: int, lookahead: int) -> list[int]:
     return [0] * n + [s for s in range(1, lookahead) for _ in "RS"]
 
 
-class LookaheadTemplate:
+class LookaheadTemplate(FlowGraph):
     """Arc skeleton of the Section-3.1 graph for ``(n, lookahead)``.
 
     Entities are numbered ``0 .. n−1`` for the determined first-slice
@@ -92,26 +91,13 @@ class LookaheadTemplate:
     slice (copies before newborns, since replacement arcs run copy →
     newborn within a slice), then sink.
 
-    Arc ``a`` runs ``tails[a] → heads[a]`` with unit capacity; residual
-    arc ids are ``2a`` (forward) and ``2a+1`` (backward).  ``costed``
-    maps each benefit-carrying arc (horizontal and sink arcs) to the
-    ``(entity, Δt)`` pair whose negated expected benefit at ``t0 + Δt``
-    is its cost; all other arcs cost zero.
+    A :class:`~repro.flow.solver.FlowGraph` with unit capacities.
+    ``costed`` maps each benefit-carrying arc (horizontal and sink arcs)
+    to the ``(entity, Δt)`` pair whose negated expected benefit at
+    ``t0 + Δt`` is its cost; all other arcs cost zero.
     """
 
-    __slots__ = (
-        "n_candidates",
-        "lookahead",
-        "n_nodes",
-        "born",
-        "tails",
-        "heads",
-        "out_arcs",
-        "adj",
-        "topo",
-        "src_arcs",
-        "costed",
-    )
+    __slots__ = ("n_candidates", "lookahead", "born", "src_arcs", "costed")
 
     def __init__(self, n_candidates: int, lookahead: int):
         """Precompute the graph skeleton for this problem shape."""
@@ -138,8 +124,6 @@ class LookaheadTemplate:
                         topo.append(nid)
                         nid += 1
         topo.append(_SINK)
-        self.n_nodes = nid
-        self.topo = topo
 
         tails: list[int] = []
         heads: list[int] = []
@@ -163,106 +147,8 @@ class LookaheadTemplate:
         for e in range(n_entities):
             costed.append((add_arc(node[(e, look - 1)], _SINK), e, look))
 
-        self.tails = tails
-        self.heads = heads
         self.costed = costed
-        self.out_arcs: list[list[int]] = [[] for _ in range(nid)]
-        self.adj: list[list[int]] = [[] for _ in range(nid)]
-        for a, (u, v) in enumerate(zip(tails, heads)):
-            self.out_arcs[u].append(a)
-            self.adj[u].append(2 * a)
-            self.adj[v].append(2 * a + 1)
-
-
-def solve_unit_flow(
-    template: LookaheadTemplate, cost: list[int], amount: int
-) -> list[bool]:
-    """Min-cost flow of ``amount`` units on the template's unit-cap DAG.
-
-    Successive shortest paths: the first path is found by relaxation in
-    topological order (the graph is a DAG with negative arcs), later
-    paths by Dijkstra over the residual network with Johnson potentials
-    keeping reduced costs nonnegative.  Exact on integer costs.
-
-    Returns a per-forward-arc "carries flow" mask; raises
-    :class:`RuntimeError` when the DAG cannot carry ``amount`` units.
-    """
-    tails, heads, adj = template.tails, template.heads, template.adj
-    n_nodes = template.n_nodes
-    cap = [1, 0] * len(tails)
-    pot = [0] * n_nodes
-    inf = float("inf")
-
-    for iteration in range(amount):
-        dist: list = [inf] * n_nodes
-        par = [-1] * n_nodes
-        dist[_SRC] = 0
-        if iteration == 0:
-            for u in template.topo:
-                du = dist[u]
-                if du is inf:
-                    continue
-                for a in template.out_arcs[u]:
-                    v = heads[a]
-                    nd = du + cost[a]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        par[v] = 2 * a
-        else:
-            done = [False] * n_nodes
-            heap: list[tuple] = [(0, _SRC)]
-            while heap:
-                d, u = heappop(heap)
-                if done[u]:
-                    continue
-                done[u] = True
-                if u == _SINK:
-                    break
-                pot_u = pot[u]
-                for r in adj[u]:
-                    if not cap[r]:
-                        continue
-                    a = r >> 1
-                    if r & 1:
-                        v, rc = tails[a], -cost[a]
-                    else:
-                        v, rc = heads[a], cost[a]
-                    if done[v]:
-                        continue
-                    nd = d + rc + pot_u - pot[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        par[v] = r
-                        heappush(heap, (nd, v))
-        d_sink = dist[_SINK]
-        if d_sink is inf:
-            raise RuntimeError(
-                f"lookahead DAG cannot carry {amount} flow units"
-            )
-        if iteration == 0:
-            # Distances are exact for every node (the DAG pass has no
-            # early exit) and arc costs are negative, so the potentials
-            # must be the distances themselves — capping at the sink
-            # distance is only sound once reduced costs are nonnegative.
-            for v in range(n_nodes):
-                dv = dist[v]
-                pot[v] = dv if dv is not inf else d_sink
-        else:
-            # Dijkstra may stop at the sink: nodes not yet finalized
-            # carry upper-bound labels ≥ the sink distance, and the
-            # standard cap keeps the reduced-cost invariant intact.
-            for v in range(n_nodes):
-                dv = dist[v]
-                pot[v] += dv if dv < d_sink else d_sink
-
-        v = _SINK
-        while v != _SRC:
-            r = par[v]
-            cap[r] -= 1
-            cap[r ^ 1] += 1
-            v = heads[r >> 1] if r & 1 else tails[r >> 1]
-
-    return [cap[2 * a] == 0 for a in range(len(tails))]
+        super().__init__(nid, tails, heads, [1] * len(tails), topo)
 
 
 def unit_flow_costs(

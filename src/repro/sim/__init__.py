@@ -25,7 +25,6 @@ from .batch import (
     BatchCacheRunResult,
     BatchCacheSimulator,
     BatchState,
-    generate_reference_array,
     values_to_array,
 )
 from .cache_sim import CacheRunResult, CacheSimulator
@@ -79,7 +78,6 @@ __all__ = [
     "BatchCacheRunResult",
     "BatchCacheSimulator",
     "BatchState",
-    "generate_reference_array",
     "values_to_array",
     "CacheExperimentResult",
     "CacheRunResult",

@@ -52,7 +52,7 @@ import numpy as np
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..policies.base import binary_topology
 from ..policies.batch import NONE_VALUE, R_CODE, S_CODE, BatchPolicy
-from ..streams.base import StreamModel, Value
+from ..streams.base import Value
 from .cache_sim import CacheRunResult
 from .join_sim import JoinRunResult
 from .multi_join import MultiJoinRunResult
@@ -66,7 +66,6 @@ __all__ = [
     "BatchMultiJoinSimulator",
     "values_to_array",
     "streams_to_arrays",
-    "generate_reference_array",
 ]
 
 
@@ -304,18 +303,6 @@ def streams_to_arrays(
         [min(len(seq) for seq in item.values()) for item in data]
     )
     return {name: _stack([item[name] for item in data], n) for name in names}
-
-
-def generate_reference_array(
-    model: StreamModel,
-    length: int,
-    n_runs: int,
-    seed: int,
-) -> np.ndarray:
-    """Array form of :func:`repro.sim.runner.generate_reference_paths`."""
-    from .runner import generate_reference_paths
-
-    return values_to_array(generate_reference_paths(model, length, n_runs, seed))
 
 
 # ----------------------------------------------------------------------

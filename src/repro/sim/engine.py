@@ -159,7 +159,9 @@ class ExperimentSpec:
         Stream models for model-aware policies.  For ``"cache"``,
         ``r_model`` is the reference-stream model and ``s_model`` unused.
     window_oracle:
-        Value-window knowledge for the window-aware baselines.
+        Value-window knowledge for the window-aware baselines; binary
+        joins only (the oracle speaks of the R and S streams), so any
+        other kind setting one is rejected.
     queries / models:
         Multi-join only: the binary query pairs and the per-stream model
         mapping handed to :class:`~repro.sim.multi_join.MultiJoinSimulator`.
@@ -190,6 +192,11 @@ class ExperimentSpec:
             raise ValueError(
                 "window and band apply to the joining problems only, "
                 "not to cache specs"
+            )
+        if self.kind != "join" and self.window_oracle is not None:
+            raise ValueError(
+                "window_oracle applies to binary join specs only, "
+                f"not to {self.kind} specs"
             )
 
 
@@ -339,15 +346,14 @@ class BatchEngine(Engine):
     def _adapter(self, spec: ExperimentSpec, policy):
         from ..policies.batch import make_batch_policy
 
-        # Each kind reads its own arguments; only the binary join hands
-        # its window oracle to the policies, as on the scalar tier.
+        # Each kind reads its own arguments.
         return make_batch_policy(
             policy,
             kind=spec.kind,
             r_model=spec.r_model,
             s_model=spec.s_model,
             window=spec.window,
-            window_oracle=spec.window_oracle if spec.kind == "join" else None,
+            window_oracle=spec.window_oracle,
             models=spec.models,
             queries=spec.queries,
             cache_size=spec.cache_size,

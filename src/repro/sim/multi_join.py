@@ -22,7 +22,8 @@ module adds:
 * :class:`MultiJoinSimulator` -- ``n`` named streams, a set of binary
   equijoin queries (stream-name pairs), one shared cache, with the
   Section-7 sliding windows and band joins of the binary join;
-* :func:`solve_opt_offline_multi` -- the compact OPT-offline formulation
+* :func:`solve_opt_offline_multi` -- re-exported from
+  :mod:`repro.flow.opt_offline`: the compact OPT-offline formulation
   with per-match-step benefit *counts* (a tuple may match arrivals from
   several partners in one step), replayable through the simulator via
   the ordinary :class:`~repro.policies.scheduled.ScheduledPolicy`;
@@ -32,14 +33,12 @@ module adds:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
-from ..flow.opt_offline import OfflineSolution
+from ..flow.opt_offline import solve_opt_offline_multi
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..policies.base import ReplacementPolicy
 from ..streams.base import StreamModel, Value
@@ -203,95 +202,6 @@ class MultiJoinSimulator:
         if self._recorder.enabled:
             result.metrics = self._recorder.snapshot()
         return result
-
-
-# ----------------------------------------------------------------------
-# OPT-offline for the multi-join case
-# ----------------------------------------------------------------------
-def solve_opt_offline_multi(
-    streams: Mapping[str, Sequence[Value]],
-    queries: Sequence[tuple[str, str]],
-    cache_size: int,
-) -> OfflineSolution:
-    """Optimal offline schedule for multiple binary queries.
-
-    Same compact tuple-chain formulation as the two-stream solver, except
-    that a tuple's match *events* carry counts: at one step, arrivals
-    from several partner streams may all match, so the chain arc entering
-    that event costs ``−count``.
-    """
-    if cache_size < 1:
-        raise ValueError("cache_size must be >= 1")
-    partner_names = multi_partner_names(queries)
-    names = [n for n in streams if n in partner_names]
-    n = min(len(streams[name]) for name in streams) if streams else 0
-
-    eviction: dict[tuple[str, int], int] = {}
-    cached: set[tuple[str, int]] = set()
-    if n == 0:
-        return OfflineSolution(eviction, 0, cache_size, 0, cached)
-
-    # occurrence[name][v] = sorted arrival times of v in that stream.
-    occurrence: dict[str, dict[Value, list[int]]] = {}
-    for name in names:
-        occ: dict[Value, list[int]] = {}
-        for t in range(n):
-            v = streams[name][t]
-            if v is not None:
-                occ.setdefault(v, []).append(t)
-        occurrence[name] = occ
-
-    graph = nx.DiGraph()
-    for t in range(n):
-        graph.add_edge(("T", t), ("T", t + 1), capacity=cache_size, weight=0)
-
-    chains: list[tuple[str, int, list[tuple[int, int]]]] = []
-    for name in names:
-        for t in range(n):
-            eviction[(name, t)] = t
-            v = streams[name][t]
-            if v is None:
-                continue
-            counts: Counter = Counter()
-            for partner_name in partner_names[name]:
-                for m in occurrence[partner_name].get(v, ()):  # type: ignore[arg-type]
-                    if m > t:
-                        counts[m] += 1
-            if counts:
-                events = sorted(counts.items())
-                chains.append((name, t, events))
-
-    for name, arrival, events in chains:
-        prev = ("T", arrival)
-        for i, (m, count) in enumerate(events):
-            node = ("x", name, arrival, i)
-            graph.add_edge(prev, node, capacity=1, weight=-count)
-            graph.add_edge(node, ("T", m), capacity=1, weight=0)
-            prev = node
-
-    graph.nodes[("T", 0)]["demand"] = -cache_size
-    graph.nodes[("T", n)]["demand"] = cache_size
-    cost, flow_dict = nx.network_simplex(graph)
-
-    for name, arrival, events in chains:
-        if flow_dict[("T", arrival)].get(("x", name, arrival, 0), 0) <= 0:
-            continue
-        cached.add((name, arrival))
-        evict_at = events[0][0]
-        for i, (m, _count) in enumerate(events):
-            node = ("x", name, arrival, i)
-            if flow_dict[node].get(("T", m), 0) > 0:
-                evict_at = m
-                break
-        eviction[(name, arrival)] = evict_at
-
-    return OfflineSolution(
-        eviction_time=eviction,
-        total_benefit=-cost,
-        cache_size=cache_size,
-        length=n,
-        cached=cached,
-    )
 
 
 def brute_force_multi_benefit(

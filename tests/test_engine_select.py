@@ -83,6 +83,18 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="window and band"):
             ExperimentSpec(kind="cache", cache_size=4, **overrides)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(kind="cache"), dict(kind="multi_join", queries=(("R", "S"),))],
+    )
+    def test_window_oracle_is_binary_join_only(self, overrides):
+        """Regression: these specs used to construct, and every tier
+        dropped the oracle without a word."""
+        oracle = make_config("FLOOR").window_oracle
+        assert _join_spec(window_oracle=oracle).window_oracle is oracle
+        with pytest.raises(ValueError, match="window_oracle"):
+            ExperimentSpec(cache_size=4, window_oracle=oracle, **overrides)
+
     @pytest.mark.parametrize("engine", [None, "batch"])
     def test_windowed_multi_join_equals_join(self, engine):
         """Regression: multi-join specs used to ignore ``window`` (61

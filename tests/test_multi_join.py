@@ -144,6 +144,39 @@ class TestOptOfflineMulti:
         binary = solve_opt_offline(r, s, 2)
         assert multi.total_benefit == binary.total_benefit
 
+    def test_banded_replay_achieves_benefit(self):
+        rng = np.random.default_rng(4)
+        streams = {
+            name: [int(v) for v in rng.integers(0, 8, size=60)]
+            for name in "ABC"
+        }
+        queries = [("A", "B"), ("B", "C")]
+        sol = solve_opt_offline_multi(streams, queries, 3, band=1)
+        assert sol.total_benefit > solve_opt_offline_multi(
+            streams, queries, 3
+        ).total_benefit
+        policy = ScheduledPolicy(sol)
+        result = MultiJoinSimulator(3, policy, queries=queries, band=1).run(
+            streams
+        )
+        assert result.total_results == sol.total_benefit
+        assert policy.mismatches == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_stream_banded_matches_brute_force(self, seed):
+        from repro.flow.brute_force import brute_force_offline_benefit
+
+        rng = np.random.default_rng(seed)
+        r = [int(v) for v in rng.integers(0, 6, size=8)]
+        s = [int(v) for v in rng.integers(0, 6, size=8)]
+        for band in (1, 2):
+            multi = solve_opt_offline_multi(
+                {"R": r, "S": s}, [("R", "S")], 2, band=band
+            )
+            assert multi.total_benefit == brute_force_offline_benefit(
+                r, s, 2, band=band
+            )
+
 
 class TestMultiHeeb:
     def test_beats_baselines_on_trend_streams(self):

@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.configs import make_config, make_multi_config
+from repro.flow import opt_offline
 from repro.flow.brute_force import brute_force_offline_benefit
-from repro.flow.opt_offline import match_times, solve_opt_offline
+from repro.flow.opt_offline import (
+    match_times,
+    solve_opt_offline,
+    solve_opt_offline_multi,
+)
+from repro.flow.solver import solve_unit_flow
 from repro.policies.scheduled import ScheduledPolicy
+from repro.serve.replay import generate_multi_join_stream
 from repro.sim.join_sim import JoinSimulator
+from repro.sim.runner import generate_paths
 
 
 class TestMatchTimes:
@@ -124,3 +136,72 @@ class TestScheduleReplay:
         for policy in (RandPolicy(seed=0), ProbPolicy()):
             other = JoinSimulator(k, policy).run(r, s)
             assert result.total_results >= other.total_results
+
+
+class TestSolverAgainstNetworkSimplex:
+    """The shared SSP solver and ``nx.network_simplex`` agree on the very
+    flat graph OPT-offline builds, and the SSP flow is a feasible flow
+    of exactly that cost."""
+
+    def _solve_both(self, solve):
+        """Run ``solve``; check the flat graph it built against networkx."""
+        calls = []
+
+        def spy(graph, cost, amount):
+            flow = solve_unit_flow(graph, cost, amount)
+            calls.append((graph, cost, amount, flow))
+            return flow
+
+        with mock.patch.object(opt_offline, "solve_unit_flow", spy):
+            sol = solve()
+        (graph, cost, amount, flow), = calls
+        src, sink = graph.topo[0], graph.topo[-1]
+        nx_graph = nx.MultiDiGraph()
+        nx_graph.add_nodes_from(range(graph.n_nodes))
+        for a, (u, v) in enumerate(zip(graph.tails, graph.heads)):
+            nx_graph.add_edge(u, v, capacity=graph.capacity[a], weight=cost[a])
+        nx_graph.nodes[src]["demand"] = -amount
+        nx_graph.nodes[sink]["demand"] = amount
+        nx_cost, _ = nx.network_simplex(nx_graph)
+
+        net = [0] * graph.n_nodes
+        for a, f in enumerate(flow):
+            assert 0 <= f <= graph.capacity[a]
+            net[graph.tails[a]] -= f
+            net[graph.heads[a]] += f
+        expected = [0] * graph.n_nodes
+        expected[src], expected[sink] = -amount, amount
+        assert net == expected
+        assert sum(c * f for c, f in zip(cost, flow)) == nx_cost
+        return sol, nx_cost
+
+    @given(
+        config=st.sampled_from(["TOWER", "ROOF", "FLOOR", "WALK"]),
+        seed=st.integers(min_value=0, max_value=10_000),
+        length=st.integers(min_value=1, max_value=150),
+        k=st.integers(min_value=1, max_value=12),
+        band=st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_binary_paths(self, config, seed, length, k, band):
+        cfg = make_config(config)
+        r, s = generate_paths(cfg.r_model, cfg.s_model, length, 1, seed)[0]
+        sol, nx_cost = self._solve_both(
+            lambda: solve_opt_offline(r, s, k, band=band)
+        )
+        assert sol.total_benefit == -nx_cost
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        length=st.integers(min_value=1, max_value=80),
+        k=st.integers(min_value=1, max_value=12),
+        band=st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_chain3_streams(self, seed, length, k, band):
+        cfg = make_multi_config("CHAIN3")
+        streams = generate_multi_join_stream(cfg.models, length, seed)
+        sol, nx_cost = self._solve_both(
+            lambda: solve_opt_offline_multi(streams, cfg.queries, k, band)
+        )
+        assert sol.total_benefit == -nx_cost
