@@ -148,7 +148,7 @@ def solve_opt_offline_multi(
 
     if cache_size < 1:
         raise ValueError("cache_size must be >= 1")
-    partner_names = multi_partner_names(queries)
+    partner_names = multi_partner_names(queries, streams)
     n = min(len(values) for values in streams.values()) if streams else 0
     eviction: dict[tuple[str, int], int] = {}
     cached: set[tuple[str, int]] = set()

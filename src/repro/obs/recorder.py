@@ -195,7 +195,11 @@ class CounterRecorder:
         self.count(f"events.{kind}")
 
     def series(self, name: str, t: int, value: float) -> None:
-        """Fold ``(t, value)`` into the bounded series aggregate ``name``."""
+        """Append ``(t, value)`` to the bounded series aggregate ``name``.
+
+        The point waits in the series' pending block, folded in bulk
+        when the block fills or the series is read.
+        """
         ts = self.series_data.get(name)
         if ts is None:
             ts = self.series_data[name] = TimeSeries(name)

@@ -2,7 +2,8 @@
 
 A *span* is one timed section of the serve request path — ``submit``,
 ``route``, ``queue_wait``, ``decide``, ``emit`` — measured on the
-monotonic clock (:func:`time.perf_counter`) and recorded twice:
+monotonic clock (:func:`time.perf_counter`) and delivered to two
+sinks:
 
 * as a ``*_ms`` series point through the existing
   :meth:`~repro.obs.recorder.Recorder.series` call (bounded memory,
@@ -10,6 +11,13 @@ monotonic clock (:func:`time.perf_counter`) and recorded twice:
 * into a :class:`~repro.obs.hist.HistogramSet` of log-bucketed latency
   histograms, whose exact merge is what lets per-request latency
   survive shard fork/merge and live resharding.
+
+Each delivery is one buffered append; the series and the histogram fold
+their pending points in bulk (:mod:`repro.obs.hist`).  The two sinks
+stay separate objects on purpose: at stop a sharded server merges each
+shard's recorder snapshot into the caller's recorder *and* each shard's
+histograms into its own set, so a set that aliased the caller's series
+would count every worker-side span twice.
 
 Everything flows through the existing :class:`~repro.obs.recorder.Recorder`
 protocol — no new protocol methods — so a :class:`~repro.obs.NullRecorder`
@@ -136,7 +144,7 @@ class SpanTracker:
     level, mostly for tests and debugging).
     """
 
-    __slots__ = ("recorder", "hists", "prefix", "active", "_stack")
+    __slots__ = ("recorder", "hists", "prefix", "active", "_stack", "_names")
 
     def __init__(
         self,
@@ -151,6 +159,8 @@ class SpanTracker:
         self.prefix = prefix
         self.active = recorder.enabled if active is None else active
         self._stack: list[str] = []
+        #: span name -> ``<prefix><name>_ms``, formatted once per name.
+        self._names: dict[str, str] = {}
 
     @property
     def depth(self) -> int:
@@ -162,9 +172,12 @@ class SpanTracker:
 
         The series point and histogram observation share the full
         ``<prefix><name>_ms`` series name, so offline traces and live
-        scrapes summarize under identical keys.
+        scrapes summarize under identical keys.  Hot paths call this
+        directly between guarded :func:`time.perf_counter` reads.
         """
-        series_name = f"{self.prefix}{name}{MS_SUFFIX}"
+        series_name = self._names.get(name)
+        if series_name is None:
+            series_name = self._names[name] = f"{self.prefix}{name}{MS_SUFFIX}"
         if self.recorder.enabled:
             self.recorder.series(series_name, t, elapsed_ms)
         if self.hists is not None:
@@ -177,7 +190,7 @@ class SpanTracker:
         Free when :attr:`active` is ``False`` (no clock read, nothing
         recorded).  Hot loops that cannot afford a context manager use
         the same guard with explicit :func:`time.perf_counter` reads
-        and :meth:`record`.
+        and :meth:`record`, as the serve request path does.
         """
         if not self.active:
             yield

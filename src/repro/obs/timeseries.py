@@ -21,12 +21,23 @@ by :class:`~repro.obs.recorder.CounterRecorder`:
   whenever the budget fills, so the retained shape always spans the full
   run at uniform resolution.
 
-Memory per series is therefore bounded by ``2 × buffer budget + O(1)``
-floats regardless of stream length.  Both pieces are *deterministic* in
-the order points arrive, which is what lets the batch engine reproduce
-a scalar run's series bit for bit (it replays its arrays in the same
-trial-major order); the histogram is also order-free, so a parallel
-run's merged series answers every quantile exactly as the scalar run's.
+Recording a point is one buffered append: :meth:`TimeSeries.add` puts
+``t`` and the value on a pending block of at most
+:data:`~repro.obs.hist.FOLD_SIZE` points.  The block is folded into the
+buffer (one strided slice per stride doubling) and the histogram (the
+same bulk routine :meth:`LogHistogram.observe` uses) when it fills and
+before any read — ``last``, ``buffer``, ``hist``, the aggregates,
+``snapshot`` and ``merge`` — so a live scrape or a merge sees every
+point recorded so far, and the folded state is exactly the one
+point-by-point folding would build.
+
+Memory per series is therefore bounded by ``2 × buffer budget`` points
+plus one pending block, regardless of stream length.  Both pieces are
+*deterministic* in the order points arrive, which is what lets the
+batch engine reproduce a scalar run's series bit for bit (it replays
+its arrays in the same trial-major order); the histogram is also
+order-free, so a parallel run's merged series answers every quantile
+exactly as the scalar run's.
 
 :func:`sparkline` renders any value sequence as a fixed-width Unicode
 strip for the ``python -m repro.obs report --series`` tables.
@@ -34,9 +45,10 @@ strip for the ``python -m repro.obs report --series`` tables.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from array import array
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .hist import LogHistogram
+from .hist import FOLD_SIZE, LogHistogram
 
 __all__ = [
     "DEFAULT_BUFFER_BUDGET",
@@ -76,15 +88,32 @@ class SeriesBuffer:
 
     def add(self, t: int, value: float) -> None:
         """Offer one point; retained iff it falls on the current stride."""
-        if self.offered % self.stride == 0:
-            self.points.append((t, value))
-            if len(self.points) >= self.budget:
-                # Kept points sit at offered indices 0, s, 2s, ...;
-                # dropping every other one leaves multiples of 2s, so
-                # the doubled stride continues the pattern seamlessly.
-                self.points = self.points[::2]
-                self.stride *= 2
-        self.offered += 1
+        self.extend((t,), (value,))
+
+    def extend(self, times: Sequence[int], values: Sequence[float]) -> None:
+        """Offer ``zip(times, values)`` in order, as :meth:`add` would
+        point by point: one strided slice per stride doubling."""
+        n = len(values)
+        budget = self.budget
+        points = self.points
+        stride = self.stride
+        offered = self.offered
+        pos = -offered % stride  # first block index on the stride
+        while pos < n:
+            taken = min(budget - len(points), (n - 1 - pos) // stride + 1)
+            stop = pos + (taken - 1) * stride + 1
+            points.extend(zip(times[pos:stop:stride], values[pos:stop:stride]))
+            if len(points) < budget:
+                break
+            # Kept points sit at offered indices 0, s, 2s, ...; dropping
+            # every other one leaves multiples of 2s, so the doubled
+            # stride continues the pattern seamlessly.
+            points = points[::2]
+            stride *= 2
+            pos = stop + -(offered + stop) % stride
+        self.points = points
+        self.stride = stride
+        self.offered = offered + n
 
     def state(self) -> dict:
         """JSON-serializable state for snapshots and merging."""
@@ -131,26 +160,66 @@ class TimeSeries:
 
     A :class:`~repro.obs.hist.LogHistogram` (exact count/sum/min/max,
     quantiles within one factor-2 bucket, exact merge), a
-    :class:`SeriesBuffer` for shape, and the latest point.
+    :class:`SeriesBuffer` for shape, and the latest point.  Points wait
+    in one pending block that every read folds first.
     """
 
-    __slots__ = ("name", "last_t", "last", "buffer", "hist")
+    __slots__ = ("name", "_last_t", "_last", "_buffer", "_hist", "_times",
+                 "_values")
 
     def __init__(self, name: str, budget: int = DEFAULT_BUFFER_BUDGET):
         """Empty series ``name`` retaining at most ``budget`` points."""
         self.name = name
-        self.last_t: Optional[int] = None
-        self.last: Optional[float] = None
-        self.buffer = SeriesBuffer(budget)
-        self.hist = LogHistogram(name)
+        self._last_t: Optional[int] = None
+        self._last: Optional[float] = None
+        self._buffer = SeriesBuffer(budget)
+        self._hist = LogHistogram(name)
+        self._times = array("q")
+        self._values = array("d")
 
     def add(self, t: int, value: float) -> None:
-        """Fold in the point ``(t, value)``."""
-        value = float(value)
-        self.last_t = t
-        self.last = value
-        self.buffer.add(t, value)
-        self.hist.observe(value)
+        """Buffer the point ``(t, value)``; a full pending block is folded."""
+        values = self._values
+        values.append(value)
+        self._times.append(t)
+        if len(values) >= FOLD_SIZE:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold the pending block into the latest point, buffer and
+        histogram."""
+        values = self._values
+        if values:
+            times = self._times
+            self._times, self._values = array("q"), array("d")
+            self._last_t = times[-1]
+            self._last = values[-1]
+            self._buffer.extend(times, values)
+            self._hist.extend(values)
+
+    @property
+    def last_t(self) -> Optional[int]:
+        """Step of the latest point, ``None`` when empty."""
+        self._fold()
+        return self._last_t
+
+    @property
+    def last(self) -> Optional[float]:
+        """Value of the latest point, ``None`` when empty."""
+        self._fold()
+        return self._last
+
+    @property
+    def buffer(self) -> SeriesBuffer:
+        """The downsampling buffer, every point folded in."""
+        self._fold()
+        return self._buffer
+
+    @property
+    def hist(self) -> LogHistogram:
+        """The histogram, every point folded in."""
+        self._fold()
+        return self._hist
 
     @property
     def count(self) -> int:
@@ -189,9 +258,9 @@ class TimeSeries:
             "sum": hist.total,
             "min": hist.vmin,
             "max": hist.vmax,
-            "last_t": self.last_t,
-            "last": self.last,
-            "buffer": self.buffer.state(),
+            "last_t": self._last_t,
+            "last": self._last,
+            "buffer": self._buffer.state(),
             "hist": hist.state(),
         }
 
@@ -199,10 +268,10 @@ class TimeSeries:
     def from_state(cls, name: str, state: Mapping) -> "TimeSeries":
         """Rebuild a series from :meth:`snapshot` output."""
         series = cls(name)
-        series.last_t = state.get("last_t")
-        series.last = state.get("last")
-        series.buffer = SeriesBuffer.from_state(state.get("buffer", {}))
-        series.hist = LogHistogram.from_state(name, state.get("hist", {}))
+        series._last_t = state.get("last_t")
+        series._last = state.get("last")
+        series._buffer = SeriesBuffer.from_state(state.get("buffer", {}))
+        series._hist = LogHistogram.from_state(name, state.get("hist", {}))
         return series
 
     def merge(self, state: Mapping) -> None:
@@ -213,13 +282,16 @@ class TimeSeries:
         ours), which makes the merge of same-shaped worker series
         deterministic.
         """
+        self._fold()
         other_t = state.get("last_t")
-        if other_t is not None and (self.last_t is None or other_t > self.last_t):
-            self.last_t = int(other_t)
+        if other_t is not None and (
+            self._last_t is None or other_t > self._last_t
+        ):
+            self._last_t = int(other_t)
             last = state.get("last")
-            self.last = float(last) if last is not None else None
-        self.buffer.merge(state.get("buffer", {}))
-        self.hist.merge(state.get("hist", {}))
+            self._last = float(last) if last is not None else None
+        self._buffer.merge(state.get("buffer", {}))
+        self._hist.merge(state.get("hist", {}))
 
 
 def sparkline(values: Iterable[float], width: int = 48) -> str:

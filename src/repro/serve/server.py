@@ -572,28 +572,40 @@ class StreamServer:
                 "submit() is for join servers; use submit_reference() "
                 "or submit_multi()"
             )
-        with self._spans.span("submit", step):
-            for shard, values in self._route(step, (r_value, s_value)):
-                await self._enqueue(shard, (step, values))
+        spans = self._spans
+        spans_on = spans.active
+        if spans_on:
+            start = perf_counter()
+        for shard, values in self._route(step, (r_value, s_value)):
+            await self._enqueue(shard, (step, values))
+        if spans_on:
+            spans.record("submit", step, (perf_counter() - start) * 1000.0)
 
     async def submit_reference(self, step: int, value: Value) -> None:
         """Push one caching-problem reference (``None`` = skipped "−")."""
         self._check_accepting()
         if self._spec.kind != "cache":
             raise ValueError("submit_reference() is for cache servers; use submit()")
-        with self._spans.span("submit", step):
-            if value is not None:
-                self.ingested_arrivals += 1
-            if self._router.n_shards == 1:
-                await self._enqueue(self._shards[0], (step, value))
-                return
-            if value is None:
-                if self._recorder.enabled:
-                    self._recorder.count("serve.null_ticks")
-                return
-            with self._spans.span("route", step):
-                shard = self._shards[self._router.shard_for(value)]
+        spans = self._spans
+        spans_on = spans.active
+        if spans_on:
+            start = perf_counter()
+        if value is not None:
+            self.ingested_arrivals += 1
+        if self._router.n_shards == 1:
+            await self._enqueue(self._shards[0], (step, value))
+        elif value is None:
+            if self._recorder.enabled:
+                self._recorder.count("serve.null_ticks")
+        else:
+            if spans_on:
+                routed = perf_counter()
+            shard = self._shards[self._router.shard_for(value)]
+            if spans_on:
+                spans.record("route", step, (perf_counter() - routed) * 1000.0)
             await self._enqueue(shard, (step, value))
+        if spans_on:
+            spans.record("submit", step, (perf_counter() - start) * 1000.0)
 
     async def submit_multi(self, step: int, arrivals: Mapping[str, Value]) -> None:
         """Push one multi-join tick: arrivals keyed by stream name.
@@ -607,9 +619,14 @@ class StreamServer:
         if unknown:
             raise ValueError(f"arrivals for unknown streams {sorted(unknown)}")
         values = tuple(arrivals.get(name) for name in self._names)
-        with self._spans.span("submit", step):
-            for shard, shard_values in self._route(step, values):
-                await self._enqueue(shard, (step, shard_values))
+        spans = self._spans
+        spans_on = spans.active
+        if spans_on:
+            start = perf_counter()
+        for shard, shard_values in self._route(step, values):
+            await self._enqueue(shard, (step, shard_values))
+        if spans_on:
+            spans.record("submit", step, (perf_counter() - start) * 1000.0)
 
     def _route(self, step: int, values: tuple) -> list:
         """Split one join tick, ``values`` in :attr:`names` order, into
@@ -628,11 +645,16 @@ class StreamServer:
         if self._router.n_shards == 1:
             return [(self._shards[0], values)]
         events: dict[int, list[Value]] = {}
-        with self._spans.span("route", step):
-            for i, value in enumerate(values):
-                if value is not None:
-                    index = self._router.shard_for(value)
-                    events.setdefault(index, [None] * len(values))[i] = value
+        spans = self._spans
+        spans_on = spans.active
+        if spans_on:
+            start = perf_counter()
+        for i, value in enumerate(values):
+            if value is not None:
+                index = self._router.shard_for(value)
+                events.setdefault(index, [None] * len(values))[i] = value
+        if spans_on:
+            spans.record("route", step, (perf_counter() - start) * 1000.0)
         if not events and self._recorder.enabled:
             self._recorder.count("serve.null_ticks")
         return [(self._shards[index], events[index]) for index in sorted(events)]

@@ -599,9 +599,7 @@ class BatchMultiJoinSimulator:
     def run(self, streams: Mapping[str, np.ndarray]) -> BatchMultiJoinRunResult:
         """Simulate every trial in lock-step over per-stream value arrays."""
         names = list(streams)
-        missing = set(self._partner_names) - set(names)
-        if missing:
-            raise ValueError(f"queries reference unknown streams {missing}")
+        multi_partner_names(self._queries, names)
         arrs = [np.asarray(streams[name], dtype=np.int64) for name in names]
         if any(a.ndim != 2 or a.shape != arrs[0].shape for a in arrs):
             raise ValueError("all streams must be matching (B, n) arrays")

@@ -42,7 +42,7 @@ series, and trace events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from ..core.tuples import CacheState, StreamTuple, TupleFactory
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -187,14 +187,17 @@ class MultiJoinStepOutcome:
 
 def multi_partner_names(
     queries: Sequence[tuple[str, str]],
+    names: Optional[Iterable[str]] = None,
 ) -> dict[str, tuple[str, ...]]:
     """Validate a query set and derive the partner map.
 
     Queries are binary equijoins as stream-name pairs; a pair may appear
-    once and self-joins are rejected.  Returns ``stream name -> names it
-    has a join query with`` (partner order follows query order).  Shared
-    by the simulator, the batch engine, and the server so every tier
-    rejects malformed topologies with the same diagnostics.
+    once and self-joins are rejected.  When the stream ``names`` are
+    given, every queried stream must be one of them.  Returns ``stream
+    name -> names it has a join query with`` (partner order follows
+    query order).  Shared by the simulator, the batch engine, the server
+    and OPT-offline so every tier rejects malformed topologies with the
+    same diagnostics.
     """
     if not queries:
         raise ValueError("need at least one join query")
@@ -209,6 +212,12 @@ def multi_partner_names(
         seen.add(key)
         partner_names.setdefault(a, []).append(b)
         partner_names.setdefault(b, []).append(a)
+    if names is not None:
+        missing = set(partner_names) - set(names)
+        if missing:
+            raise ValueError(
+                f"queries reference unknown streams {sorted(missing)}"
+            )
     return {name: tuple(ps) for name, ps in partner_names.items()}
 
 
@@ -279,10 +288,7 @@ def build_multi_join_state(
     policy — the n-way counterpart of :func:`make_join_state`, shared
     by :class:`~repro.sim.multi_join.MultiJoinSimulator` and the
     :mod:`repro.serve` event loop."""
-    partner_names = multi_partner_names(queries)
-    missing = set(partner_names) - set(names)
-    if missing:
-        raise ValueError(f"queries reference unknown streams {missing}")
+    partner_names = multi_partner_names(queries, names)
     ctx = PolicyContext(
         kind="multi_join",
         time=-1,

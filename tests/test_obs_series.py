@@ -15,7 +15,11 @@ Pins the acceptance contract of the time-series layer:
   cumulative results/hits, hit rate), scored policies (score cutoff,
   mirrored bit-identically by the batch tier for every scored
   adapter), and the FlowExpect fast path (per-solve latency, memo hit
-  rate — scalar-only, since batch shares one memo across trials).
+  rate — scalar-only, since batch shares one memo across trials);
+* recorders merge exactly: counter and series points split across
+  forked recorders and merged back equal the unsplit recorder's
+  counters and every series' histogram, count and extremes, whether or
+  not the split crosses a pending block's fold.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ import math
 import random
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import CounterRecorder, NullRecorder
+from repro.obs.hist import FOLD_SIZE
 from repro.policies import LruPolicy, make_policy
 from repro.policies.flowexpect_policy import FlowExpectPolicy
 from repro.policies.lfd import LfdPolicy
@@ -201,3 +207,48 @@ class TestEmitters:
         rec = CounterRecorder()
         rec.count("x")
         assert "series" not in rec.snapshot()
+
+
+class TestRecorderMergeProperty:
+    """merge(split(x)) == x for recorder counters and series."""
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b.c", "evict.LRU"]),
+                st.integers(-1000, 1000),
+                st.integers(0, 2),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        length=st.one_of(
+            st.integers(1, 30),
+            st.sampled_from([FOLD_SIZE - 1, FOLD_SIZE, FOLD_SIZE + 1,
+                             2 * FOLD_SIZE + 1]),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_recorders_merge_to_whole(self, ops, length):
+        whole = CounterRecorder()
+        parts = [whole.fork() for _ in range(3)]
+        for t in range(length):
+            name, value, k = ops[t % len(ops)]
+            for rec in (whole, parts[k]):
+                rec.count(name, abs(value))
+                rec.series(name, t, value)
+        merged = CounterRecorder()
+        for part in parts:
+            merged.merge(part.snapshot())
+        assert merged.counters == whole.counters
+        whole_series = whole.snapshot()["series"]
+        merged_series = merged.snapshot()["series"]
+        assert set(merged_series) == set(whole_series)
+        for name, state in whole_series.items():
+            # Integer points: every partial sum is exact, so the merged
+            # histogram equals the whole one, sum included.
+            assert merged_series[name]["hist"] == state["hist"], name
+            for key in ("count", "sum", "min", "max", "last_t", "last"):
+                assert merged_series[name][key] == state[key], (name, key)
+            assert merged_series[name]["buffer"]["offered"] == (
+                state["buffer"]["offered"])

@@ -69,6 +69,13 @@ class TestSolveOptOffline:
         with pytest.raises(ValueError):
             solve_opt_offline([1], [1], 0)
 
+    @pytest.mark.parametrize("query", [("A", "Z"), ("Y", "Z")])
+    def test_rejects_queries_on_unknown_streams(self, query):
+        # A partly unknown query used to raise KeyError, a wholly
+        # unknown one to return an empty schedule with benefit 0.
+        with pytest.raises(ValueError, match="unknown streams"):
+            solve_opt_offline_multi({"A": [1, 1]}, [query], 1)
+
 
 class TestOptimalityAgainstBruteForce:
     @given(

@@ -9,6 +9,10 @@ Pins the contracts ``docs/OBSERVABILITY.md`` states for
 * :class:`TimeSeries` snapshots round-trip through ``from_state``, and
   ``merge`` is exact on the histogram: split-and-merged series equal
   the whole series' count/min/max, bucket counts and every quantile;
+* recorded points wait in a pending block that is folded in bulk, and
+  the folded :class:`LogHistogram`, :class:`SeriesBuffer` and
+  :class:`TimeSeries` state equals point-by-point folding (a reference
+  kept here) for any sequence and any interleaving of reads;
 * :func:`sparkline` renders any numeric list without blowing up on
   constant or empty input.
 """
@@ -17,12 +21,14 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import SeriesBuffer, TimeSeries, sparkline
+from repro.obs import LogHistogram, SeriesBuffer, TimeSeries, sparkline
+from repro.obs.hist import FOLD_SIZE, MIN_BOUND, N_BUCKETS
 
 
 class TestSeriesBuffer:
@@ -177,6 +183,256 @@ class TestTimeSeries:
             assert abs(a.total - b.total) <= 1e-12 * magnitude
         for q in (0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0):
             assert merged.quantile(q) == whole.quantile(q), q
+
+
+_BOUNDS = [MIN_BOUND * 2.0**i for i in range(N_BUCKETS)]
+
+
+class RefHistogram:
+    """Point-by-point fold: the semantics the bulk fold must reproduce."""
+
+    def __init__(self):
+        self.counts = [0] * (2 * N_BUCKETS)
+        self.count = 0
+        self.total = 0.0
+        self.vmin = None
+        self.vmax = None
+
+    def observe(self, value):
+        value = float(value)
+        if value < 0:
+            index = N_BUCKETS - 1 - min(bisect_left(_BOUNDS, -value), N_BUCKETS - 1)
+        else:
+            index = N_BUCKETS + min(bisect_left(_BOUNDS, value), N_BUCKETS - 1)
+        self.counts[index] += 1
+        self.count += 1
+        self.total += value
+        if self.vmin is None or value < self.vmin:
+            self.vmin = value
+        if self.vmax is None or value > self.vmax:
+            self.vmax = value
+
+    def state(self):
+        return {
+            "counts": list(self.counts),
+            "count": self.count,
+            "sum": self.total,
+            "min": self.vmin,
+            "max": self.vmax,
+        }
+
+
+class RefBuffer:
+    """Point-by-point stride keep / thin / double."""
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.stride = 1
+        self.offered = 0
+        self.points = []
+
+    def add(self, t, value):
+        if self.offered % self.stride == 0:
+            self.points.append((t, float(value)))
+            if len(self.points) >= self.budget:
+                self.points = self.points[::2]
+                self.stride *= 2
+        self.offered += 1
+
+    def state(self):
+        return {
+            "budget": self.budget,
+            "stride": self.stride,
+            "offered": self.offered,
+            "points": [[t, v] for t, v in self.points],
+        }
+
+
+def ref_snapshot(points, budget):
+    """A point-by-point :meth:`TimeSeries.snapshot` of ``points``."""
+    hist, buf = RefHistogram(), RefBuffer(budget)
+    for t, v in points:
+        hist.observe(v)
+        buf.add(t, v)
+    state = hist.state()
+    return {
+        "count": state["count"],
+        "sum": state["sum"],
+        "min": state["min"],
+        "max": state["max"],
+        "last_t": points[-1][0] if points else None,
+        "last": float(points[-1][1]) if points else None,
+        "buffer": buf.state(),
+        "hist": state,
+    }
+
+
+def same(a, b) -> bool:
+    """Equal state, NaN and the sign of zero included."""
+    return repr(a) == repr(b)
+
+
+def merged_equal(a: dict, b: dict) -> bool:
+    """Equal histogram state up to what merging leaves open: the sign
+    of a zero extreme (parts merge in part order), and NaN sums."""
+    return all(
+        a[k] == b[k] or (a[k] != a[k] and b[k] != b[k]) for k in a
+    ) and a.keys() == b.keys()
+
+
+#: Values whose folding is easy to get wrong: signed zeros, infinities,
+#: NaN, every bucket bound and its negative, and plain ints.
+SPECIAL = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 0, 7, -3, 10**6]
+    + _BOUNDS
+    + [-b for b in _BOUNDS]
+)
+FOLD_VALUES = st.one_of(
+    SPECIAL, st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+)
+#: Lengths at and around every fold boundary, plus short runs.
+FOLD_LENGTHS = st.one_of(
+    st.integers(0, 40),
+    st.sampled_from(
+        [k * FOLD_SIZE + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    ),
+)
+
+
+@st.composite
+def fold_runs(draw):
+    """``(points, reads)``: a point sequence drawn from a small pool
+    (so lengths past the fold size stay cheap) and the positions where
+    a read interrupts it."""
+    pool = draw(st.lists(FOLD_VALUES, min_size=1, max_size=24))
+    length = draw(FOLD_LENGTHS)
+    rng = draw(st.randoms(use_true_random=False))
+    values = [pool[rng.randrange(len(pool))] for _ in range(length)]
+    points = [(3 * t + rng.randrange(3), v) for t, v in enumerate(values)]
+    reads = draw(st.sets(st.integers(0, length), max_size=6))
+    return points, reads
+
+
+class TestBulkFold:
+    """Buffered points folded in bulk equal point-by-point folding."""
+
+    @given(run=fold_runs())
+    @settings(max_examples=120, deadline=None)
+    def test_histogram_matches_point_by_point(self, run):
+        points, reads = run
+        hist, ref = LogHistogram("h"), RefHistogram()
+        for i, (_, v) in enumerate(points):
+            if i in reads:
+                assert same(hist.state(), ref.state()), i
+            hist.observe(v)
+            ref.observe(v)
+        assert same(hist.state(), ref.state())
+        assert hist.count == ref.count == len(points)
+
+    @given(run=fold_runs(), budget=st.sampled_from([4, 5, 8, 64, 512]))
+    @settings(max_examples=120, deadline=None)
+    def test_buffer_blocks_match_point_by_point(self, run, budget):
+        # The read positions cut the points into blocks, each offered
+        # with one extend (a block may span several stride doublings).
+        points, reads = run
+        buf, ref = SeriesBuffer(budget), RefBuffer(budget)
+        cuts = [0, *sorted(reads), len(points)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            block = points[lo:hi]
+            buf.extend([t for t, _ in block], [float(v) for _, v in block])
+            for t, v in block:
+                ref.add(t, v)
+            assert same(buf.state(), ref.state()), (lo, hi)
+
+    @given(run=fold_runs(), budget=st.sampled_from([4, 16, 512]))
+    @settings(max_examples=120, deadline=None)
+    def test_series_matches_point_by_point(self, run, budget):
+        points, reads = run
+        series = TimeSeries("g", budget=budget)
+        for i, (t, v) in enumerate(points):
+            if i in reads:
+                # Each read folds what is pending so far.
+                assert series.count == i
+                assert same(series.snapshot(), ref_snapshot(points[:i], budget))
+            series.add(t, v)
+        assert same(series.snapshot(), ref_snapshot(points, budget))
+        if points:
+            assert same((series.last_t, series.last),
+                        (points[-1][0], float(points[-1][1])))
+
+    def test_extend_equals_observe(self):
+        values = [float(v) for v in range(-5, 3 * FOLD_SIZE)]
+        one, bulk = LogHistogram(), LogHistogram()
+        for v in values:
+            one.observe(v)
+        bulk.observe(values[0])
+        bulk.extend(values[1:])
+        assert same(one.state(), bulk.state())
+
+    @pytest.mark.parametrize(
+        "values", [[5.0, -0.0, 0.0], [5.0, 0.0, -0.0], [-5.0, 0.0, -0.0],
+                   [-5.0, -0.0, 0.0], [0.0, -0.0] * FOLD_SIZE]
+    )
+    def test_tied_extremes_keep_the_first(self, values):
+        # 0.0 == -0.0: a strict comparison keeps whichever came first.
+        hist, ref = LogHistogram(), RefHistogram()
+        for v in values:
+            hist.observe(v)
+            ref.observe(v)
+        assert same(hist.state(), ref.state())
+
+    def test_nan_extremes_follow_point_by_point(self):
+        # NaN first pins min and max to NaN; a later NaN is ignored.
+        first = TimeSeries("g")
+        later = TimeSeries("g")
+        for v in (math.nan, 1.0, -2.0):
+            first.add(0, v)
+        for v in (1.0, math.nan, -2.0):
+            later.add(0, v)
+        assert math.isnan(first.vmin) and math.isnan(first.vmax)
+        assert (later.vmin, later.vmax) == (-2.0, 1.0)
+        # NaN lands in the bucket holding zero.
+        assert later.hist.counts[N_BUCKETS] == 1
+
+    @given(
+        items=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(-10**6, 10**6),
+                    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+                ),
+                st.integers(0, 3),
+            ),
+            max_size=8,
+        ),
+        length=FOLD_LENGTHS,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_merge_of_split_equals_whole(self, items, length):
+        """merge(split(x)) == x across fold boundaries.  Integer-valued
+        points keep every partial sum exact, so the whole histogram
+        state (sum included) and the count and extremes of the series
+        must match."""
+        if not items:
+            return
+        points = [items[i % len(items)] for i in range(length)]
+        whole_hist, whole = LogHistogram("h"), TimeSeries("g")
+        part_hists = [LogHistogram("h") for _ in range(4)]
+        parts = [TimeSeries("g") for _ in range(4)]
+        for t, (v, k) in enumerate(points):
+            whole_hist.observe(v)
+            whole.add(t, v)
+            part_hists[k].observe(v)
+            parts[k].add(t, v)
+        merged_hist, merged = LogHistogram("h"), TimeSeries("g")
+        for part_hist, part in zip(part_hists, parts):
+            merged_hist.merge(json.loads(json.dumps(part_hist.state())))
+            merged.merge(json.loads(json.dumps(part.snapshot())))
+        assert merged_equal(merged_hist.state(), whole_hist.state())
+        assert merged_equal(merged.hist.state(), whole.hist.state())
+        assert (merged.count, merged.vmin, merged.vmax) == (
+            whole.count, whole.vmin, whole.vmax)
+        assert (merged.last_t, merged.last) == (whole.last_t, whole.last)
 
 
 class TestSparkline:
