@@ -21,9 +21,9 @@ dissolves that coupling into an explicit operator/engine split:
   ``batch``     the vectorized NumPy engine (:mod:`repro.sim.batch`);
                 joins (binary and n-way) and caching with an exact
                 batch policy adapter
-  ``parallel``  fans independent trials across a
-                :class:`~concurrent.futures.ProcessPoolExecutor`;
-                needs ``fork`` and an effective worker count > 1
+  ``parallel``  fans independent trials across forked children
+                and the calling process; needs ``fork`` and an
+                effective worker count > 1
   ============  =====================================================
 
 * **capability negotiation** — every engine answers
@@ -45,9 +45,12 @@ import abc
 import logging
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
+import sys
+import traceback
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -426,23 +429,29 @@ class BatchEngine(Engine):
 # ----------------------------------------------------------------------
 # Parallel tier
 # ----------------------------------------------------------------------
-#: Payload handed to forked workers.  Set immediately before the pool is
-#: created (workers inherit it through fork) so policy factories —
+#: Payload the chunks of a parallel run read.  Set immediately before the
+#: first fork (children inherit it through fork) so policy factories —
 #: routinely closures or lambdas — never need to be pickled.
 _FORK_PAYLOAD: Optional[
     tuple[ExperimentSpec, PolicyFactory, tuple, Recorder]
 ] = None
 
 
-def _parallel_worker(indices: list[int]) -> tuple[str, list, Optional[dict]]:
-    """Run one contiguous chunk of trials inside a forked worker.
+#: What a chunk returns: the policy name, its per-trial results, and its
+#: recorder snapshot (``None`` when recording is off).
+_ChunkResult = tuple[str, list, Optional[dict]]
 
-    Each worker instruments its trials with a fresh child of the
-    parent's recorder (:meth:`~repro.obs.recorder.Recorder.fork`) and
-    ships the child's snapshot back with the results, so counters cross
-    the fork boundary even though the worker's memory does not.
+
+def _parallel_worker(indices: list[int]) -> _ChunkResult:
+    """Run one contiguous chunk of trials from the fork payload.
+
+    Each chunk instruments its trials with a fresh child of the run's
+    recorder (:meth:`~repro.obs.recorder.Recorder.fork`) and returns the
+    child's snapshot with the results, so counters cross the fork
+    boundary even though a forked child's memory does not.  The chunk
+    the calling process runs itself goes through the same path.
     """
-    assert _FORK_PAYLOAD is not None, "worker started without a fork payload"
+    assert _FORK_PAYLOAD is not None, "chunk started without a fork payload"
     spec, policy_factory, data, recorder = _FORK_PAYLOAD
     child = recorder.fork() if recorder.enabled else NULL_RECORDER
     results = []
@@ -458,33 +467,152 @@ def _parallel_worker(indices: list[int]) -> tuple[str, list, Optional[dict]]:
     return name, results, snapshot
 
 
+class _ChildTraceback(Exception):
+    """A forked chunk's formatted traceback, chained as ``__cause__`` of
+    the exception it raised."""
+
+
+def _child_main(indices: list[int], fd: int) -> None:
+    """Body of a forked child: run one chunk, write its pickled outcome.
+
+    The outcome is ``(True, (name, results, snapshot))`` or ``(False,
+    (exception, traceback text))``.  An exception that does not survive
+    a pickle round trip travels as a ``RuntimeError`` carrying its repr.
+    Closing the pipe before the child exits lets the parent read and
+    merge while the kernel tears the child's address space down.
+    """
+    try:
+        payload = pickle.dumps(
+            (True, _parallel_worker(indices)), pickle.HIGHEST_PROTOCOL
+        )
+    except BaseException as exc:
+        text = "".join(traceback.format_exception(exc))
+        try:
+            payload = pickle.dumps((False, (exc, text)), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(payload)
+        except Exception:
+            payload = pickle.dumps(
+                (False, (RuntimeError(repr(exc)), text)), pickle.HIGHEST_PROTOCOL
+            )
+    with open(fd, "wb") as pipe:
+        pipe.write(payload)
+
+
+@dataclass
+class _Child:
+    """One forked chunk as the parent tracks it."""
+
+    pid: int
+    #: Read end of the child's outcome pipe.
+    pipe: BinaryIO
+    #: Its outcome was read: the child is exiting on its own.
+    received: bool = False
+    reaped: bool = False
+
+
+def _flush_std_streams() -> None:
+    """Flush Python-level stdout/stderr: before a fork, so a child does
+    not inherit (and write out again) text the parent buffered; and
+    before a child exits, since ``os._exit`` flushes nothing."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError, OSError):
+            pass
+
+
+def _fork_chunk(indices: list[int]) -> _Child:
+    """Fork a child that runs ``indices`` and writes back its outcome."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # child: never returns, never runs the caller's cleanup
+        code = 1
+        try:
+            os.close(r)
+            _child_main(indices, w)
+            code = 0
+        finally:
+            _flush_std_streams()
+            os._exit(code)
+    os.close(w)
+    return _Child(pid=pid, pipe=open(r, "rb"))
+
+
+def _receive(child: _Child, label: str) -> Union[_ChunkResult, BaseException]:
+    """Read ``child``'s outcome: its chunk result, or the exception to
+    raise for it."""
+    with child.pipe as pipe:
+        payload = pipe.read()
+    child.received = True
+    if not payload:
+        _, status = os.waitpid(child.pid, 0)
+        child.reaped = True
+        code = os.waitstatus_to_exitcode(status)
+        return RuntimeError(f"{label} exited without a result (exit code {code})")
+    ok, value = pickle.loads(payload)
+    if ok:
+        return value
+    exc, text = value
+    exc.__cause__ = _ChildTraceback(text)
+    return exc
+
+
+def _reap(children: list[_Child]) -> None:
+    """Kill every child whose outcome was not read, then reap them all."""
+    for child in children:
+        child.pipe.close()
+        if not child.received:
+            os.kill(child.pid, signal.SIGKILL)
+    for child in children:
+        if not child.reaped:
+            os.waitpid(child.pid, 0)
+            child.reaped = True
+
+
 class ParallelEngine(Engine):
-    """Fans independent Monte-Carlo trials across worker processes.
+    """Fans independent Monte-Carlo trials across forked processes.
 
     Each trial runs the *scalar* simulator with its own fresh policy
     instance, exactly as :class:`ScalarEngine` would, so results are
     seed-for-seed identical to the scalar tier for every policy and every
     worker count — parallelism only changes which process executes a
     trial, never the trial itself.  Trials are split into one contiguous
-    chunk per worker and results are reassembled in trial order.
+    chunk per worker; the calling process forks one child per chunk but
+    the last and runs that last chunk itself, and results are
+    reassembled in trial order.  There is no pool: every run forks
+    afresh, so children always see the caller's current state, and no
+    child outlives :meth:`run`.
 
     Requires the ``fork`` start method (Linux; the default there): the
-    spec, policy factory, and input data reach workers by process
-    inheritance, so unpicklable closures work unchanged.  A worker
-    exception propagates to the caller out of the first failing chunk.
+    spec, policy factory, and input data reach children by process
+    inheritance, so unpicklable closures work unchanged; only results,
+    counter snapshots and exceptions are pickled.  A failing chunk's
+    exception (type and message; an unpicklable one as a
+    ``RuntimeError`` carrying its repr) propagates to the caller, the
+    first failing chunk in trial order winning, as on the scalar tier; a
+    child that dies without a result (a signal, ``os._exit``, the OOM
+    killer) surfaces as a ``RuntimeError`` naming its chunk and exit
+    code.  An exception in the caller's own chunk waits for the children
+    to report; an interrupt kills them.  Either way every child is
+    reaped before the exception propagates.
 
     Capability: besides the start method, the tier declares itself
     unsupported when its effective worker count is 1 (explicitly, or
-    because the machine has a single CPU) — one worker buys pure
-    fork/IPC overhead over the scalar loop, so the negotiation falls
-    back to scalar with the usual one-time warning instead of silently
-    recording a sub-1x "parallel" run.
+    because the machine has a single CPU) — one worker would run every
+    trial in the calling process, a scalar run under another name, so
+    the negotiation falls back to scalar with the usual one-time warning
+    instead of silently recording a 1x "parallel" run.
     """
 
     name = "parallel"
 
     def __init__(self, max_workers: Optional[int] = None):
-        """Cap the worker pool; ``None`` means one worker per CPU."""
+        """Cap the worker count; ``None`` means one worker per CPU."""
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self._max_workers = max_workers
@@ -507,10 +635,11 @@ class ParallelEngine(Engine):
         return None
 
     def run(self, spec, policy_factory, data, recorder=NULL_RECORDER):
-        """Fan trials over forked workers; reassemble in trial order.
+        """Fork a child per chunk but the last, run the last chunk here,
+        and reassemble in trial order.
 
-        Worker-side counter snapshots are merged back into ``recorder``
-        chunk by chunk, so after the run a
+        Chunk counter snapshots — the caller's own chunk's included —
+        are merged into ``recorder`` in chunk order, so after the run a
         :class:`~repro.obs.recorder.CounterRecorder`'s counters equal a
         scalar run's over the same trials (timers measure per-process
         wall clock and are merged additively; per-step trace events do
@@ -529,22 +658,37 @@ class ParallelEngine(Engine):
         chunks = [list(range(lo, hi)) for lo, hi in bounds if hi > lo]
 
         _FORK_PAYLOAD = (spec, policy_factory, tuple(data), recorder)
+        children: list[_Child] = []
         try:
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=n_workers, mp_context=ctx
-            ) as pool:
-                futures = [pool.submit(_parallel_worker, chunk) for chunk in chunks]
-                name = "policy"
-                results: list = []
-                for future in futures:
-                    chunk_name, chunk_results, chunk_metrics = future.result()
-                    name = chunk_name
-                    results.extend(chunk_results)
-                    if chunk_metrics is not None:
-                        recorder.merge(chunk_metrics)
+            _flush_std_streams()
+            for chunk in chunks[:-1]:
+                children.append(_fork_chunk(chunk))
+            own: Union[_ChunkResult, BaseException]
+            try:
+                own = _parallel_worker(chunks[-1])
+            except Exception as exc:
+                # Held until the children report: an earlier chunk's
+                # failure wins, as it would on the scalar tier.
+                own = exc
+            outcomes = [
+                _receive(child, f"parallel chunk {n} (trials "
+                         f"{chunk[0]}-{chunk[-1]})")
+                for n, (child, chunk) in enumerate(zip(children, chunks))
+            ]
+            outcomes.append(own)
+            done: list[_ChunkResult] = []
+            for outcome in outcomes:
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                done.append(outcome)
+            results: list = []
+            for name, chunk_results, chunk_metrics in done:
+                results.extend(chunk_results)
+                if chunk_metrics is not None:
+                    recorder.merge(chunk_metrics)
         finally:
             _FORK_PAYLOAD = None
+            _reap(children)
         return EngineRun(policy_name=name, per_run=results)
 
 

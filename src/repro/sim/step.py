@@ -151,6 +151,11 @@ class MultiJoinStepState:
     #: probe edges (empty for streams in no query, which are never
     #: cached).
     probes: tuple = field(init=False)
+    #: Per stream, in :attr:`names` order: its ``arrivals.<name>``
+    #: counter, formatted once here rather than per counted arrival.
+    arrival_counters: tuple = field(init=False)
+    #: The ``evict.<policy name>`` counter of policy evictions.
+    evict_counter: str = field(init=False)
 
     def __post_init__(self) -> None:
         self.probes = tuple(
@@ -160,6 +165,8 @@ class MultiJoinStepState:
             )
             for name in self.names
         )
+        self.arrival_counters = tuple(f"arrivals.{name}" for name in self.names)
+        self.evict_counter = f"evict.{self.policy.name}"
 
     @property
     def recorder(self) -> Recorder:
@@ -333,8 +340,8 @@ def multi_join_step(
         record_arrival(name, val)
     if rec_on:
         rec.count("sim.steps")
-        for name, val in zip(names, values):
-            rec.count("arrivals.null" if val is None else f"arrivals.{name}")
+        for name, counter, val in zip(names, state.arrival_counters, values):
+            rec.count("arrivals.null" if val is None else counter)
             if rec_trace:
                 rec.event("arrival", t, side=name, value=val)
 
@@ -397,7 +404,7 @@ def multi_join_step(
         n_evict,
     )
     if victims and rec_on:
-        rec.count(f"evict.{policy_name}", len(victims))
+        rec.count(state.evict_counter, len(victims))
         if rec_trace:
             rec.event(
                 "evict",
@@ -469,6 +476,11 @@ class CacheStepState:
     hits: int = 0
     misses: int = 0
     skipped: int = 0
+    #: The ``evict.<policy name>`` counter, formatted once per run.
+    evict_counter: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.evict_counter = f"evict.{self.policy.name}"
 
     @property
     def recorder(self) -> Recorder:
@@ -565,7 +577,7 @@ def cache_step(
             n_evict,
         )
         if victims and rec_on:
-            rec.count(f"evict.{policy.name}", len(victims))
+            rec.count(state.evict_counter, len(victims))
             if rec_trace:
                 rec.event(
                     "evict",

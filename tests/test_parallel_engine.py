@@ -9,12 +9,18 @@ as the original exception, not hang or vanish.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import time
 from typing import Sequence
 
 import numpy as np
 import pytest
 
+import repro.sim.engine as sim_engine
 from repro.core.lifetime import LExp
+from repro.obs import CounterRecorder
 from repro.policies import make_policy
 from repro.policies.base import PolicyContext, ReplacementPolicy
 from repro.policies.heeb_policy import HeebPolicy, WalkJoinHeeb
@@ -209,8 +215,9 @@ class _CrashOnTrial(ReplacementPolicy):
 
     name = "CRASH"
 
-    #: Class-level countdown shared through fork: each forked worker gets
-    #: a copy-on-write snapshot, so the crash fires in-worker.
+    #: Class-level countdown: each forked child gets a copy-on-write
+    #: snapshot and the caller's own chunk counts on, so the crash fires
+    #: in-chunk wherever a chunk runs.
     instances = 0
 
     def __init__(self, crash_on_instance: int):
@@ -246,6 +253,203 @@ class TestWorkerCrash:
         import repro.sim.engine as engine_mod
 
         assert engine_mod._FORK_PAYLOAD is None
+
+    def _run(self, where, action="raise"):
+        r_model, s_model = _join_models("stationary")
+        paths = generate_paths(r_model, s_model, 40, 4, seed=2)
+        spec = ExperimentSpec(kind="join", cache_size=2)
+        caller = os.getpid()
+        return run_experiment(
+            spec,
+            lambda: _FailIn(where, caller, action),
+            paths,
+            engine=ParallelEngine(max_workers=2),
+        )
+
+    def test_child_chunk_raises(self):
+        with pytest.raises(ValueError, match="failed in a child"):
+            self._run("child")
+        _assert_no_children()
+
+    def test_caller_chunk_raises(self):
+        with pytest.raises(ValueError, match="failed in the caller"):
+            self._run("caller")
+        _assert_no_children()
+
+    def test_both_chunks_raise_first_chunk_wins(self):
+        # Both chunks fail at their first eviction; chunk 0's failure
+        # wins whichever process gets there first, as on the scalar tier.
+        with pytest.raises(ValueError, match="failed in a child"):
+            self._run("both")
+        _assert_no_children()
+
+    def test_child_exit_names_chunk_and_code(self):
+        with pytest.raises(
+            RuntimeError, match=r"chunk 0 \(trials 0-1\).*exit code 3"
+        ):
+            self._run("child", action="exit")
+        _assert_no_children()
+
+    def test_unpicklable_exception_becomes_runtime_error(self):
+        with pytest.raises(RuntimeError, match="_UnpicklableError"):
+            self._run("child", action="unpicklable")
+        _assert_no_children()
+
+    def test_interrupt_in_caller_kills_children(self):
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            self._run("both", action="interrupt")
+        # The child was sleeping for a minute: it was killed, not joined.
+        assert time.perf_counter() - start < 30
+        _assert_no_children()
+
+
+class _UnpicklableError(Exception):
+    """Carries a lock, so it cannot cross the process boundary."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class _FailIn(ReplacementPolicy):
+    """Fails on its first eviction in the child chunks, the caller's
+    chunk, or both (told apart by process id)."""
+
+    name = "FAIL"
+
+    def __init__(self, where: str, caller: int, action: str):
+        in_child = os.getpid() != caller
+        self._fail = where == "both" or (where == "child") == in_child
+        self._in_child = in_child
+        self._action = action
+
+    def select_victims(self, candidates, n_evict, ctx):
+        if self._fail and n_evict:
+            if self._action == "exit":
+                os._exit(3)
+            if self._action == "unpicklable":
+                raise _UnpicklableError("cannot be pickled")
+            if self._action == "interrupt":
+                if self._in_child:
+                    time.sleep(60)
+                else:
+                    raise KeyboardInterrupt
+            where = "a child" if self._in_child else "the caller"
+            raise ValueError(f"failed in {where}")
+        return sorted(candidates, key=lambda c: c.uid)[:n_evict]
+
+
+def _assert_no_children():
+    """No child process — running or zombie — and no payload remain."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sim_engine._FORK_PAYLOAD is None
+
+
+def _multi_join_data(n_trials=4, length=80):
+    rng = np.random.default_rng(4)
+    return [
+        {name: [int(v) for v in rng.integers(0, 5, size=length)]
+         for name in ("A", "B", "C")}
+        for _ in range(n_trials)
+    ]
+
+
+def _parity_case(kind):
+    """``(spec, factory, data)`` of a small run of ``kind``."""
+    factory = lambda: make_policy("lru")  # noqa: E731
+    if kind == "join":
+        r_model, s_model = _join_models("random-walk")
+        paths = generate_paths(r_model, s_model, 90, 4, seed=6)
+        return ExperimentSpec(kind="join", cache_size=CACHE, warmup=5), factory, paths
+    if kind == "cache":
+        model = make_stream(
+            "stationary", dist=from_mapping({i: 1 / 6 for i in range(6)})
+        )
+        refs = generate_reference_paths(model, 90, 4, seed=6)
+        return ExperimentSpec(kind="cache", cache_size=3, warmup=5), factory, refs
+    spec = ExperimentSpec(
+        kind="multi_join",
+        cache_size=CACHE,
+        warmup=5,
+        queries=(("A", "B"), ("B", "C")),
+    )
+    return spec, factory, _multi_join_data()
+
+
+def _result_key(result):
+    """The outcome fields every per-trial result type shares or owns."""
+    return (
+        result.steps,
+        getattr(result, "total_results", None),
+        getattr(result, "hits", None),
+        getattr(result, "misses", None),
+        result.primary_metric,
+    )
+
+
+class TestPlacementParity:
+    """Which process runs a chunk changes nothing a run reports."""
+
+    @pytest.mark.parametrize("kind", ["join", "cache", "multi_join"])
+    def test_counted_run_equals_scalar(self, kind):
+        spec, factory, data = _parity_case(kind)
+        rec_s, rec_p = CounterRecorder(), CounterRecorder()
+        scalar = ScalarEngine().run(spec, factory, data, recorder=rec_s)
+        par = ParallelEngine(max_workers=2).run(
+            spec, factory, data, recorder=rec_p
+        )
+        assert par.policy_name == scalar.policy_name
+        assert [_result_key(r) for r in par.per_run] == [
+            _result_key(r) for r in scalar.per_run
+        ]
+        assert rec_p.counters == rec_s.counters
+        assert rec_p.counters["trials.done"] == len(data)
+        assert set(rec_p.series_data) == set(rec_s.series_data)
+        for name, ts_s in rec_s.series_data.items():
+            got, want = rec_p.series_data[name].hist, ts_s.hist
+            assert got.counts == want.counts, name
+            assert (got.count, got.vmin, got.vmax) == (
+                want.count, want.vmin, want.vmax
+            ), name
+            assert got.state()["sum"] == pytest.approx(want.state()["sum"])
+            for q in (0.5, 0.9, 0.99):
+                assert got.quantile(q) == want.quantile(q), (name, q)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("n_trials, forks", [(2, 1), (1, 0)])
+    def test_caller_runs_the_last_chunk(self, monkeypatch, n_trials, forks):
+        spec, _, data = _parity_case("join")
+        data = data[:n_trials]
+        forked = []
+        fork_chunk = sim_engine._fork_chunk
+
+        def counting_fork(indices):
+            forked.append(list(indices))
+            return fork_chunk(indices)
+
+        monkeypatch.setattr(sim_engine, "_fork_chunk", counting_fork)
+        # Policies built in this process; a child's list is its own copy.
+        built_here = []
+
+        def factory():
+            built_here.append(os.getpid())
+            return make_policy("lru")
+
+        rec_s, rec_p = CounterRecorder(), CounterRecorder()
+        scalar = ScalarEngine().run(spec, factory, data, recorder=rec_s)
+        built_here.clear()
+        par = ParallelEngine(max_workers=3).run(
+            spec, factory, data, recorder=rec_p
+        )
+        assert forked == [[0]] * forks
+        assert built_here == [os.getpid()]
+        _assert_join_equal(scalar, par)
+        assert rec_p.counters == rec_s.counters
+        assert rec_p.counters["trials.done"] == n_trials
+        _assert_no_children()
 
 
 class TestRegistry:
