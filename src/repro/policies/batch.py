@@ -31,15 +31,19 @@ Equivalence is achieved by construction rather than by approximation:
 * the window-oracle logic of Section 6.2 (dead tuples first) is
   vectorized for :class:`~repro.policies.window_oracle.TrendWindowOracle`;
 * stateful policies whose scalar math is per-*value* rather than
-  per-slot (LRU-k's reference histories, windowed HEEB's per-tuple
-  window clips, TrieCachePolicy's shared node scores and EMA budgets,
-  FlowExpect's benefit rows) are replayed through *memo-gather*
-  adapters: each distinct key calls the identical scalar function once
-  and the result is scattered across all trials, so the per-trial
-  decisions stay bit-identical while the expensive math is shared
-  ``B``-fold (windowed HEEB gathers from the strategy's own
-  ``windowed_h``, whose memo both tiers share; FlowExpect still solves
-  one leave-slot assignment per trial).
+  per-slot (LRU-k's reference histories, windowed generic HEEB's
+  per-tuple window clips, TrieCachePolicy's shared node scores and EMA
+  budgets, FlowExpect's benefit rows) are replayed through
+  *memo-gather* adapters: each distinct key calls the identical scalar
+  function once and the result is scattered across all trials, so the
+  per-trial decisions stay bit-identical while the expensive math is
+  shared ``B``-fold (windowed generic HEEB and non-unit trend speeds
+  gather from the strategy's own ``windowed_h``, whose memo both tiers
+  share; FlowExpect still solves one leave-slot assignment per trial);
+* windowed HEEB on unit-speed trends needs no per-key calls: the
+  strategy's offset × clipped-horizon table holds every score the run
+  can need, so :class:`BatchTrendJoinHeeb` fills a step's missing cells
+  and gathers each side's slots with one fancy index.
 
 A few configurations remain scalar-only and raise
 :class:`UnbatchablePolicyError` from :func:`make_batch_policy` (OPT
@@ -558,9 +562,13 @@ def _dense_lookup(values: np.ndarray, lo: int, offsets: np.ndarray) -> np.ndarra
 class BatchTrendJoinHeeb(BatchPolicy):
     """HEEB over unit-speed linear trends, via the Corollary-5 tables.
 
-    Reads the exact per-offset tables the scalar
+    Unwindowed, it reads the exact per-offset tables the scalar
     :class:`~repro.policies.heeb_policy.TrendJoinHeeb` builds, densified
-    into arrays, so batch and scalar scores are bit-identical.
+    into arrays.  Windowed (Section 7), each slot's score is one cell of
+    the strategy's offset × clipped-horizon table: per step and side,
+    :meth:`~repro.policies.heeb_policy.TrendJoinHeeb.windowed_many`
+    fills the missing cells and gathers the alive slots with one fancy
+    index.  Either way batch and scalar scores are bit-identical.
     """
 
     name = "HEEB"
@@ -570,24 +578,44 @@ class BatchTrendJoinHeeb(BatchPolicy):
         strategy: TrendJoinHeeb,
         r_model: LinearTrendStream,
         s_model: LinearTrendStream,
+        window: Optional[int] = None,
     ):
+        self._strategy = strategy
         self._r_model = r_model
         self._s_model = s_model
-        # Keys mirror the scalar policy's cache: the table for side-X
-        # tuples is built from the partner stream of X.
-        self._lo_for_r, self._tab_for_r = strategy.table_array(
-            s_model, "partner-of-R"
-        )
-        self._lo_for_s, self._tab_for_s = strategy.table_array(
-            r_model, "partner-of-S"
-        )
+        self._window = window
+        if window is None:
+            # Keys mirror the scalar policy's cache: the table for side-X
+            # tuples is built from the partner stream of X.
+            self._lo_for_r, self._tab_for_r = strategy.table_array(
+                s_model, "partner-of-R"
+            )
+            self._lo_for_s, self._tab_for_s = strategy.table_array(
+                r_model, "partner-of-S"
+            )
 
     def scores(self, state, t: int) -> np.ndarray:
+        if self._window is not None:
+            return self._windowed_scores(state, t, self._window)
         d_r = state.val - self._s_model.trend(t)
         d_s = state.val - self._r_model.trend(t)
         sc_r = _dense_lookup(self._tab_for_r, self._lo_for_r, d_r)
         sc_s = _dense_lookup(self._tab_for_s, self._lo_for_s, d_s)
         return np.where(state.side == R_CODE, sc_r, sc_s)
+
+    def _windowed_scores(self, state, t: int, window: int) -> np.ndarray:
+        out = np.zeros(state.val.shape)
+        remaining = np.maximum(state.arr + (window - t), 0)
+        r_side = state.side == R_CODE
+        for mask, partner in (
+            (state.alive & r_side, self._s_model),
+            (state.alive & ~r_side, self._r_model),
+        ):
+            if mask.any():
+                out[mask] = self._strategy.windowed_many(
+                    partner, state.val[mask], remaining[mask], t
+                )
+        return out
 
 
 class BatchWalkJoinHeeb(BatchPolicy):
@@ -684,6 +712,10 @@ class BatchStationaryJoinHeeb(BatchPolicy):
 
 class BatchWindowedJoinHeeb(BatchPolicy):
     """Windowed joining HEEB (Section 7), gathered from the strategy.
+
+    Serves windowed generic HEEB (binary or n-way) and trend HEEB at
+    non-unit speeds; unit-speed trends read their dense table through
+    :class:`BatchTrendJoinHeeb` instead.
 
     The window clips each tuple's survival estimate at its own expiry,
     so scores depend on the per-tuple *remaining* window —
@@ -1212,12 +1244,12 @@ def _batch_heeb(
             and isinstance(r_model, LinearTrendStream)
             and isinstance(s_model, LinearTrendStream)
         ):
+            if r_model.speed == 1.0 and s_model.speed == 1.0:
+                return BatchTrendJoinHeeb(strategy, r_model, s_model, window)
             if window is not None:
                 # The windowed branch of the scalar h_value applies at
-                # every speed; the gather replay covers it whole.
+                # every speed; the gather replay covers the others.
                 return BatchWindowedJoinHeeb(strategy, models, window)
-            if r_model.speed == 1.0 and s_model.speed == 1.0:
-                return BatchTrendJoinHeeb(strategy, r_model, s_model)
     elif isinstance(strategy, WalkJoinHeeb):
         # Walk/AR1/band scoring never consults the window (expiry is
         # simulator-level), so these adapters hold windowed or not.

@@ -17,18 +17,22 @@ rather than one per candidate and both tiers read the same floats.
 
 The strategies also own the score memo of Section 4.4.  Windowed
 joining HEEB (Section 7) clips each tuple's survival at its own window
-expiry, so no per-value table applies; :meth:`TrendJoinHeeb.windowed_h`
-and :meth:`GenericJoinHeeb.windowed_h` instead memoize the score on
-exactly what it depends on (partner, trend offset or value, clipped
-horizon).  The batch tier gathers from the same method, so every tier
-reads the same floats.
+expiry, so no per-value table applies; the strategies instead memoize
+the score on exactly what it depends on.  :class:`TrendJoinHeeb` keeps
+one dense trend-offset × clipped-horizon table per unit-speed partner,
+filled cell by cell on first use, which :meth:`TrendJoinHeeb.windowed_h`
+(behind the block :meth:`TrendJoinHeeb.h_values` too) and the batch
+tier's :meth:`TrendJoinHeeb.windowed_many` gather both read;
+:meth:`GenericJoinHeeb.windowed_h` memoizes stationary partners on
+``(partner, value, remaining)`` and the batch tier calls it once per
+distinct key.  Every tier reads the same floats.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -196,11 +200,11 @@ class TrendJoinHeeb(HeebStrategy):
         self.tol = tol
         self._suggested = estimator.suggested_horizon(tol)
         self._tables: dict[str, dict[int, float]] = {}
-        self._memo: dict[tuple[LinearTrendStream, int, int], float] = {}
+        self._windowed: dict[LinearTrendStream, np.ndarray] = {}
 
     def reset(self, ctx: PolicyContext) -> None:
         self._tables = {}
-        self._memo = {}
+        self._windowed = {}
 
     def _table_for(self, partner: LinearTrendStream, key: str) -> dict[int, float]:
         table = self._tables.get(key)
@@ -239,6 +243,62 @@ class TrendJoinHeeb(HeebStrategy):
         pmfs = noise.pmf_many(value - trend_vals)
         return float(np.dot(pmfs, np.exp(-dts / alpha)))
 
+    def _windowed_table(
+        self, partner: LinearTrendStream, top: int
+    ) -> np.ndarray:
+        """The unit-speed ``partner``'s windowed table, rows ``0..top`` at least.
+
+        Cell ``[horizon, col]`` is the direct sum to ``horizon`` at the
+        trend offset ``noise.min + 1 + col``; row ``horizon`` can be
+        nonzero only on its first ``noise.max − noise.min + horizon``
+        columns.  ``NaN`` marks a cell not yet filled (a filled one is a
+        finite sum of probabilities).  Rows stop at the largest horizon
+        requested so far, so a short window keeps the table small;
+        growing keeps the column origin and copies filled cells.
+        """
+        table = self._windowed.get(partner)
+        if table is None or table.shape[0] <= top:
+            noise = partner.noise
+            grown = np.full(
+                (top + 1, noise.max_value - noise.min_value + top), np.nan
+            )
+            if table is not None:
+                grown[: table.shape[0], : table.shape[1]] = table
+            self._windowed[partner] = table = grown
+        return table
+
+    def _windowed_reader(
+        self, partner: LinearTrendStream, t: int, top: int
+    ) -> Callable[[int, int], float]:
+        """``read(value, remaining)``: :meth:`windowed_h` against ``partner`` at ``t``.
+
+        The partner's speed, table and ``f(t)`` are read once, here, so
+        an eviction pays them once per side rather than once per
+        candidate; each unit-speed read is then one table cell.
+        ``remaining`` must not exceed ``top``.
+        """
+        suggested = self._suggested
+        direct_sum = self._direct_sum
+        if partner.speed != 1.0:
+            return lambda v, r: direct_sum(partner, v, t, min(r, suggested))
+        noise = partner.noise
+        origin = partner.trend(t) + noise.min_value + 1
+        span = noise.max_value - noise.min_value
+        table = self._windowed_table(partner, min(top, suggested))
+
+        def read(v: int, r: int) -> float:
+            horizon = min(r, suggested)
+            col = v - origin
+            if not 0 <= col < span + horizon:
+                return 0.0
+            h = table.item(horizon, col)
+            if h != h:
+                h = direct_sum(partner, v, t, horizon)
+                table[horizon, col] = h
+            return h
+
+        return read
+
     def windowed_h(
         self, partner: LinearTrendStream, value: int, remaining: int, t: int
     ) -> float:
@@ -247,20 +307,44 @@ class TrendJoinHeeb(HeebStrategy):
         The direct sum runs to ``min(remaining, suggested_horizon)``.  For
         a unit-speed partner it depends only on the trend offset ``value
         − f(t)`` and that clipped horizon (integer trend arithmetic makes
-        the translated pmf arrays element-identical), so it is memoized
-        on ``(partner, offset, horizon)``: at most offset range ×
-        (window + 1) entries per partner.  Other speeds lack translation
-        invariance and are summed directly.
+        the translated pmf arrays element-identical), so it is read from
+        one dense offset × horizon table per partner, each cell filled by
+        the direct sum on first use; offsets outside a row's nonzero
+        columns read ``0.0``, which is what the sum gives there.  Other
+        speeds lack translation invariance and are summed directly.
         """
-        horizon = min(remaining, self._suggested)
-        if partner.speed != 1.0:
-            return self._direct_sum(partner, value, t, horizon)
-        key = (partner, value - partner.trend(t), horizon)
-        h = self._memo.get(key)
-        if h is None:
-            h = self._direct_sum(partner, value, t, horizon)
-            self._memo[key] = h
-        return h
+        return self._windowed_reader(partner, t, remaining)(value, remaining)
+
+    def windowed_many(
+        self,
+        partner: LinearTrendStream,
+        values: np.ndarray,
+        remaining: np.ndarray,
+        t: int,
+    ) -> np.ndarray:
+        """:meth:`windowed_h` over non-empty 1-D int arrays, unit-speed partner.
+
+        Fills only the cells the block needs that are still empty (by
+        the direct sum, once per distinct cell), then reads the block
+        with one fancy index, so each element is the float
+        :meth:`windowed_h` returns for it.
+        """
+        noise = partner.noise
+        origin = partner.trend(t) + noise.min_value + 1
+        horizons = np.minimum(remaining, self._suggested)
+        cols = values - origin
+        inside = (cols >= 0) & (cols < noise.max_value - noise.min_value + horizons)
+        table = self._windowed_table(partner, int(horizons.max()))
+        cols = np.where(inside, cols, 0)
+        out = table[horizons, cols]
+        missing = inside & np.isnan(out)
+        if missing.any():
+            for h, col in set(
+                zip(horizons[missing].tolist(), cols[missing].tolist())
+            ):
+                table[h, col] = self._direct_sum(partner, origin + col, t, h)
+            out = table[horizons, cols]
+        return np.where(inside, out, 0.0)
 
     def table_array(
         self, partner: LinearTrendStream, key: str
@@ -282,8 +366,8 @@ class TrendJoinHeeb(HeebStrategy):
             raise ValueError("TrendJoinHeeb expects LinearTrendStream partners")
         v = int(tup.value)
         if ctx.window is not None:
-            # Section 7: the tuple's own window expiry clips L; the clip
-            # point is per-tuple, so the shared table does not apply.
+            # Section 7: the tuple's own window expiry clips L, so the
+            # score also depends on the tuple's clipped horizon.
             remaining = max(0, tup.arrival + ctx.window - ctx.time)
             return self.windowed_h(partner, v, remaining, ctx.time)
         if partner.speed == 1.0:
@@ -291,6 +375,35 @@ class TrendJoinHeeb(HeebStrategy):
             return table.get(v - partner.trend(ctx.time), 0.0)
         # General speed: direct vectorized sum over the covering Δt range.
         return self._direct_sum(partner, v, ctx.time, self._suggested)
+
+    def h_values(
+        self, candidates: Sequence[StreamTuple], ctx: PolicyContext
+    ) -> list[float]:
+        """Windowed blocks read each side's partner once per eviction.
+
+        Each side gets one :meth:`_windowed_reader`, sized to the
+        block's largest remaining window; unwindowed blocks score per
+        tuple.
+        """
+        window = ctx.window
+        if window is None or not candidates:
+            return super().h_values(candidates, ctx)
+        t = ctx.time
+        expiry = window - t
+        top = max(0, max(tup.arrival for tup in candidates) + expiry)
+        readers: dict[str, Callable[[int, int], float]] = {}
+        out = []
+        for tup in candidates:
+            read = readers.get(tup.side)
+            if read is None:
+                partner = ctx.partner_model(tup.side)
+                if not isinstance(partner, LinearTrendStream):
+                    raise ValueError(
+                        "TrendJoinHeeb expects LinearTrendStream partners"
+                    )
+                read = readers[tup.side] = self._windowed_reader(partner, t, top)
+            out.append(read(int(tup.value), max(0, tup.arrival + expiry)))
+        return out
 
 
 class WalkJoinHeeb(HeebStrategy):

@@ -450,6 +450,7 @@ class StreamServer:
         shard.worker = asyncio.create_task(
             self._worker(shard), name=f"repro-serve-shard-{shard.index}"
         )
+        shard.worker.add_done_callback(lambda _: self._discard_if_failed(shard))
 
     async def _worker(self, shard: Shard) -> None:
         """Consume the shard queue, applying one step per event.
@@ -512,6 +513,28 @@ class StreamServer:
                     f"shard {shard.index} worker failed"
                 ) from exc
 
+    def _discard_if_failed(self, shard: Shard) -> None:
+        """Empty a crashed shard's queue, waking a producer blocked on it.
+
+        Runs when the worker exits.  Each discarded event wakes one
+        producer blocked on the full queue; its put then lands and
+        :meth:`_enqueue` calls this again before raising the failure,
+        which wakes the next, so every producer blocked on the dead
+        shard gets the worker's error instead of waiting forever.  The
+        events could never be applied: a failed shard stays failed.
+        They stay counted as unfinished, so the queue's ``join()``
+        never resolves and :meth:`drain` raises the failure instead of
+        reporting the shard drained.
+        """
+        worker = shard.worker
+        if worker is None or not worker.done() or worker.cancelled():
+            return
+        if worker.exception() is None:
+            return
+        queue = shard.queue
+        while not queue.empty():
+            queue.get_nowait()
+
     def _check_accepting(self) -> None:
         """Reject submissions outside the started-and-not-stopping window."""
         if not self._started:
@@ -526,7 +549,9 @@ class StreamServer:
         are off), so the shard worker can measure the ``queue_wait``
         span; when the queue is full the blocked time is accumulated
         into the backpressure duty-cycle accounting and emitted as the
-        ``serve.backpressure.wait_ms`` series.
+        ``serve.backpressure.wait_ms`` series.  A producer whose blocked
+        put returns because the worker died raises the worker's failure
+        (see :meth:`_discard_if_failed`).
         """
         self._raise_if_worker_failed(shard)
         queue = shard.queue
@@ -539,6 +564,8 @@ class StreamServer:
                 self._recorder.count("serve.backpressure.engaged")
             wait_start = perf_counter()
             await queue.put(event + (wait_start if spans_on else 0.0,))
+            self._discard_if_failed(shard)
+            self._raise_if_worker_failed(shard)
             waited = perf_counter() - wait_start
             shard.backpressure_wait_seconds += waited
             self.backpressure_wait_seconds += waited
@@ -665,7 +692,12 @@ class StreamServer:
     async def _await_or_worker_death(
         self, shard: Shard, awaitable: "asyncio.Future"
     ) -> None:
-        """Wait for ``awaitable``, bailing out if the shard worker dies."""
+        """Wait for ``awaitable``, bailing out if the shard worker dies.
+
+        A failed worker raises even when ``awaitable`` finished in the
+        same loop turn: what it waited for says nothing about events the
+        dead worker never applied.
+        """
         pending_task = asyncio.ensure_future(awaitable)
         worker = shard.worker
         assert worker is not None
@@ -674,7 +706,8 @@ class StreamServer:
         )
         if pending_task not in done:
             pending_task.cancel()
-            self._raise_if_worker_failed(shard)
+        self._raise_if_worker_failed(shard)
+        if pending_task not in done:
             raise RuntimeError(
                 f"shard {shard.index} worker exited while waiting"
             )

@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 
 from repro.core.lifetime import LExp
 from repro.core.precompute import ar1_h2_cache, ar1_h2_join
-from repro.experiments.configs import tower_config, walk_config
+from repro.experiments.configs import (
+    floor_config,
+    roof_config,
+    tower_config,
+    walk_config,
+)
 from repro.obs import CounterRecorder
 from repro.policies import make_policy
 from repro.policies.flowexpect_policy import FlowExpectPolicy
@@ -31,6 +36,11 @@ from repro.policies.heeb_policy import (
     GenericJoinHeeb,
     HeebPolicy,
     TrendJoinHeeb,
+)
+from repro.policies.batch import (
+    BatchTrendJoinHeeb,
+    BatchWindowedJoinHeeb,
+    make_batch_policy,
 )
 from repro.policies.lru import LrukPolicy
 from repro.sim.engine import BatchEngine, ExperimentSpec, ScalarEngine
@@ -92,6 +102,18 @@ def _policy_counters(rec):
     return {
         k: v for k, v in rec.counters.items() if not k.startswith("engine.")
     }
+
+
+class _PointLog(CounterRecorder):
+    """A counter recorder that also keeps every series point verbatim."""
+
+    def __init__(self):
+        super().__init__()
+        self.points = {}
+
+    def series(self, name, t, value):
+        self.points.setdefault(name, []).append((t, value))
+        super().series(name, t, value)
 
 
 def _assert_cache_equal(scalar, batch):
@@ -223,13 +245,58 @@ class TestWindowedHeeb:
         _assert_join_equal(scalar, batch)
         assert any(r.total_results > 0 for r in scalar.per_run)
 
+    @pytest.mark.parametrize("window", [0, 1, 8, 400])
+    @pytest.mark.parametrize(
+        "make_config",
+        [tower_config, roof_config, floor_config],
+        ids=["TOWER", "ROOF", "FLOOR"],
+    )
+    def test_trend_table_gather_matches_scalar(self, make_config, window):
+        """Unit-speed windowed trend HEEB gathers from the strategy's
+        offset × horizon table; window 400 reaches the suggested-horizon
+        clip.  Totals, occupancy, counters and every scores.cutoff point
+        equal the scalar tier's.  Short windows run a 1-tuple cache, so
+        every step evicts a fresh arrival."""
+        config = make_config()
+        cache_size = CACHE if window > 1 else 1
+        adapter = make_batch_policy(
+            config.make_heeb(cache_size),
+            r_model=config.r_model,
+            s_model=config.s_model,
+            window=window,
+        )
+        assert type(adapter) is BatchTrendJoinHeeb
+        rec_scalar, rec_batch = _PointLog(), _PointLog()
+        scalar, batch = _join_both(
+            config.r_model,
+            config.s_model,
+            lambda: config.make_heeb(cache_size),
+            window=window,
+            cache_size=cache_size,
+            recorders=(rec_scalar, rec_batch),
+        )
+        _assert_join_equal(scalar, batch)
+        assert _policy_counters(rec_batch) == _policy_counters(rec_scalar)
+        cutoffs = rec_scalar.points["scores.cutoff"]
+        assert repr(rec_batch.points["scores.cutoff"]) == repr(cutoffs)
+        _assert_snapshot_equal(
+            rec_batch.series_data["scores.cutoff"],
+            rec_scalar.series_data["scores.cutoff"],
+            "scores.cutoff",
+        )
+        assert any(v > 0.0 for _, v in cutoffs) == (window > 0)
+
     def test_trend_general_speed(self):
         """speed != 1 lacks translation invariance: the strategy sums
-        each distinct key directly and must still reproduce the scalar
-        sums."""
+        each distinct key directly, through the np.unique gather, and
+        must still reproduce the scalar sums."""
         r_model = LinearTrendStream(bounded_normal(10, 1.5), speed=2.0, lag=1)
         s_model = LinearTrendStream(bounded_normal(15, 2.0), speed=2.0, lag=0)
         factory = lambda: HeebPolicy(TrendJoinHeeb(LExp(4.0)))
+        adapter = make_batch_policy(
+            factory(), r_model=r_model, s_model=s_model, window=8
+        )
+        assert type(adapter) is BatchWindowedJoinHeeb
         scalar, batch = _join_both(
             r_model, s_model, factory, window=8, length=160
         )

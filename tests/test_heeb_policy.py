@@ -120,9 +120,69 @@ def _assert_warm_memo_exact(make_strategy, r_model, s_model, queries, speed):
         assert warm.h_value(tup, ctx) == expected, (side, value, t - lag, t)
 
 
+#: ``suggested_horizon`` of the ``LExp(3.0)`` the windowed tests use.
+_SUGGESTED = LExp(3.0).suggested_horizon(1e-12)
+
+
+def _trend_pair(speed):
+    return (
+        LinearTrendStream(bounded_normal(5, 2.0), speed=speed, lag=1),
+        LinearTrendStream(bounded_uniform(4), speed=speed),
+    )
+
+
+def _cell_queries(speed):
+    """``(partner index, offset, remaining, t)`` lists: the clipped
+    horizon spans ``0..suggested`` (small ones drawn often, so cells
+    repeat), the offset from the partner trend spans 3 below to 3 above
+    the columns where that horizon's sum can be nonzero, and ``t``
+    moves in any direction."""
+    partners = _trend_pair(speed)
+
+    @st.composite
+    def query(draw):
+        index = draw(st.sampled_from([0, 1]))
+        noise = partners[index].noise
+        remaining = draw(
+            st.one_of(
+                st.integers(min_value=0, max_value=4),
+                st.integers(min_value=0, max_value=_SUGGESTED + 3),
+            )
+        )
+        horizon = min(remaining, _SUGGESTED)
+        offset = draw(
+            st.integers(
+                min_value=noise.min_value + 1 - 3,
+                max_value=noise.max_value + horizon + 3,
+            )
+        )
+        t = draw(st.integers(min_value=0, max_value=40))
+        return index, offset, remaining, t
+
+    return st.lists(query(), min_size=10, max_size=60)
+
+
 class TestWindowedMemoExact:
     # Integer speeds keep the trend offset translation-invariant; 0.5
     # does not (rounding), so it must bypass the memo.
+    @pytest.mark.parametrize("speed", [1.0, 2.0, 0.5])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_trend_table_matches_direct_sum(self, speed, data):
+        """After any query sequence, ``windowed_h`` is a fresh
+        strategy's direct sum to the clipped horizon, bit for bit."""
+        partners = _trend_pair(speed)
+        warm = TrendJoinHeeb(LExp(3.0))
+        for index, offset, remaining, t in data.draw(_cell_queries(speed)):
+            partner = partners[index]
+            value = partner.trend(t) + offset
+            expected = TrendJoinHeeb(LExp(3.0))._direct_sum(
+                partner, value, t, min(remaining, _SUGGESTED)
+            )
+            got = warm.windowed_h(partner, value, remaining, t)
+            assert got == expected, (index, offset, remaining, t)
+            assert type(got) is float
+
     @pytest.mark.parametrize("speed", [1.0, 2.0, 0.5])
     @settings(max_examples=60, deadline=None)
     @given(queries=_QUERIES)
@@ -417,6 +477,39 @@ class TestBlockScoring:
         cands = _block_candidates(ctx.kind, [-500, 4, 500])
         block = strategy.h_values(cands, ctx)
         assert block == [strategy.h_value(tup, ctx) for tup in cands]
+
+    @pytest.mark.parametrize("window", [0, 1, 3, 400])
+    @pytest.mark.parametrize("speed", [1.0, 2.0, 0.5])
+    def test_windowed_trend_block_equals_per_tuple(self, window, speed):
+        """Windowed blocks, including tuples whose clipped horizon
+        exceeds the window (arrival after ``t``) and values far outside
+        the partner windows, score as per tuple and as a fresh
+        strategy."""
+        r_model, s_model = _trend_pair(speed)
+        ctx = PolicyContext(
+            kind="join",
+            time=_T0,
+            cache_size=5,
+            histories={"R": [], "S": []},
+            models={"R": r_model, "S": s_model},
+            window=window,
+        )
+        strategy = TrendJoinHeeb(LExp(ALPHA))
+        strategy.reset(ctx)
+        center = s_model.trend(_T0)
+        cands = _block_candidates("join", range(center - 14, center + 14))
+        cands += [
+            StreamTuple(900, "R", center, _T0 + 3),
+            StreamTuple(901, "S", center - 500, _T0),
+            StreamTuple(902, "R", center + 500, _T0 - 1),
+        ]
+        block = strategy.h_values(cands, ctx)
+        assert block == [strategy.h_value(tup, ctx) for tup in cands]
+        fresh = TrendJoinHeeb(LExp(ALPHA))
+        assert block == [fresh.h_value(tup, ctx) for tup in cands]
+        assert all(type(h) is float for h in block)
+        # A window of 0 leaves no survival to tuples that arrived by t.
+        assert any(h > 0.0 for h in block[:-3]) == (window > 0)
 
     def test_surface_clamps_out_of_domain_values(self, ar1_surfaces):
         strategy = _build("AR1CacheHeeb", ar1_surfaces)

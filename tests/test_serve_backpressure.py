@@ -245,3 +245,51 @@ def test_live_reshard_preserves_cached_tuples_and_keeps_serving():
 
     server = run(go())
     assert sum(s.events_applied for s in server.shards) > 0
+
+
+def test_producer_blocked_on_a_full_queue_gets_the_worker_failure():
+    """Two producers on a 1-slot queue: when the worker dies, the one
+    raising at submit and the one blocked inside a full-queue put both
+    get the worker's ``RuntimeError``."""
+
+    async def go():
+        server = StreamServer(
+            join_spec(cache_size=2),
+            lambda: ExplodingPolicy(fuse=5),
+            queue_maxsize=1,
+        )
+        await server.start()
+
+        async def producer(first):
+            for t in range(first, 200, 2):
+                await server.submit(t, 1, 1)
+
+        outcomes = await asyncio.gather(
+            producer(0), producer(1), return_exceptions=True
+        )
+        assert [type(o) for o in outcomes] == [RuntimeError, RuntimeError]
+        assert all("worker" in str(o) for o in outcomes)
+        with pytest.raises(RuntimeError):
+            await server.stop()
+
+    run(go())
+
+
+def test_drain_after_a_worker_crash_with_events_still_queued_raises():
+    """Non-full submits do not yield, so the worker dies with events
+    still queued while ``drain()`` waits; ``drain()`` must raise the
+    failure rather than report the dead shard drained."""
+
+    async def go():
+        server = StreamServer(
+            join_spec(cache_size=2), lambda: ExplodingPolicy(fuse=5)
+        )
+        await server.start()
+        for t in range(20):
+            await server.submit(t, 1, 1)
+        with pytest.raises(RuntimeError):
+            await server.drain()
+        with pytest.raises(RuntimeError):
+            await server.stop()
+
+    run(go())
