@@ -128,14 +128,14 @@ class PolicyContext:
     :meth:`partners_of` returns the streams each side joins against.
     A binary R/S join is the 1-partner case of the n-way topology, and
     caching is the Theorem 1 reduction (cached S tuples partnered with
-    the reference stream R); both binary kinds take their fixed partner
-    map from :func:`binary_topology`.
+    the reference stream R); a context built without a partner map
+    takes its kind's fixed one from :func:`binary_topology`.
 
     Attributes
     ----------
     kind:
-        ``"join"`` (two-stream equijoin), ``"cache"`` (reference stream
-        against a database relation), or ``"multi_join"`` (n-way).
+        ``"join"`` (any topology of equijoin queries) or ``"cache"``
+        (reference stream against a database relation).
     time:
         The current step ``t0``; the new arrivals of this step are already
         appended to the histories.
@@ -147,8 +147,9 @@ class PolicyContext:
         Value-window knowledge for the window-aware baselines.
     partner_names:
         Stream name → names of the streams its tuples join against (one
-        entry per query edge).  Set from :func:`binary_topology` for the
-        binary kinds.
+        entry per query edge).  When left empty, set from
+        :func:`binary_topology`: ``R⋈S`` for joins, the Theorem 1
+        reduction for caching.
     histories:
         Stream name → observed values so far (indices are time steps).
         For caching, ``"R"`` is the reference stream.
@@ -183,7 +184,7 @@ class PolicyContext:
     last_obs: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind != "multi_join":
+        if not self.partner_names:
             self.partner_names = binary_topology(self.kind)[1]
         if self.models is None:
             self.models = {}

@@ -1219,12 +1219,13 @@ def _batch_windowed(
 def _batch_heeb(
     policy: HeebPolicy,
     kind: str,
+    nway: bool,
     models,
     partner_names,
     window: Optional[int],
 ) -> BatchPolicy:
     strategy = policy.strategy
-    if kind == "multi_join":
+    if nway:
         if isinstance(strategy, GenericJoinHeeb) and all(
             isinstance(models.get(name), StationaryStream)
             for name in partner_names
@@ -1237,7 +1238,7 @@ def _batch_heeb(
             f"HEEB strategy {type(strategy).__name__} has no n-way replay "
             f"unless every query-stream model is stationary",
         )
-    r_model, s_model = models["R"], models["S"]
+    r_model, s_model = models.get("R"), models.get("S")
     if isinstance(strategy, TrendJoinHeeb):
         if (
             kind == "join"
@@ -1313,8 +1314,7 @@ def _batch_trie(
 def _batch_flowexpect(
     policy: FlowExpectPolicy,
     kind: str,
-    r_model: Optional[StreamModel],
-    s_model: Optional[StreamModel],
+    models,
     cache_size: Optional[int],
 ) -> BatchPolicy:
     """Exact FlowExpect dispatch: fast path, resolved independent models."""
@@ -1326,8 +1326,8 @@ def _batch_flowexpect(
         raise _unbatchable(
             policy.name, "fast=False pins the networkx reference pipeline"
         )
-    r = policy.r_model or r_model
-    s = policy.s_model or s_model
+    r = policy.r_model or models.get("R")
+    s = policy.s_model or models.get("S")
     if r is None or s is None:
         raise _unbatchable(
             policy.name, "its cost matrix needs both stream models resolved"
@@ -1381,12 +1381,15 @@ def make_batch_policy(
 ) -> BatchPolicy:
     """Build the exact batch adapter for a scalar policy instance.
 
-    The binary kinds take their models from ``r_model`` / ``s_model``
-    and their topology from :func:`binary_topology`; for
-    ``kind="multi_join"`` the topology is described by ``queries``
-    (binary stream-name pairs) and ``models`` (per-stream models for the
-    model-aware policies).  Either way the simulator binds the returned
-    adapter to the run's stream order before resetting it.
+    ``kind`` is ``"cache"`` or a join: caching takes its reference
+    model from ``r_model`` and its topology from :func:`binary_topology`.
+    A join's topology is ``queries`` (binary stream-name pairs) and
+    ``models`` (per-stream models, whose names give the stream order);
+    without ``queries`` it is ``R⋈S`` over ``r_model`` / ``s_model``.
+    The adapters that exist only for ``R⋈S`` (LRU-k, LIFE, FlowExpect,
+    non-stationary HEEB) dispatch on that topology, however the spec
+    spelled it.  Either way the simulator binds the returned adapter to
+    the run's stream order before resetting it.
     ``cache_size`` is only consulted by the FlowExpect adapter, whose
     flow amount is fixed at build time.
 
@@ -1396,21 +1399,25 @@ def make_batch_policy(
     (<reason>); it runs on the scalar tier`` shape.
     """
     _check_sketch_free(policy)
-    multi = kind == "multi_join"
-    if multi:
-        from ..sim.step import multi_partner_names
-
-        if not queries:
-            raise ValueError("multi_join batch adapters need at least one query")
-        partner_names = multi_partner_names(queries)
-        models = dict(models or {})
-    else:
+    if kind == "cache":
         partner_names = binary_topology(kind)[1]
         models = {"R": r_model, "S": s_model}
+        nway = False
+    else:
+        from ..sim.step import RS_QUERIES, is_rs_join, multi_partner_names
+
+        if queries is None:
+            if kind != "join":
+                raise ValueError(f"{kind} batch adapters need at least one query")
+            queries, models = RS_QUERIES, {"R": r_model, "S": s_model}
+        partner_names = multi_partner_names(queries)
+        models = dict(models or {})
+        nway = not is_rs_join(tuple(models or partner_names), queries)
+        kind = "join"  # either spelling: the topology decides from here
     if isinstance(policy, RandPolicy):
         return BatchRand(policy.seed, _batch_oracle(window_oracle, policy.name))
     if isinstance(policy, LrukPolicy):
-        if multi:
+        if nway:
             raise _unbatchable(
                 policy.name,
                 "LRU-k per-value reference histories have no n-way "
@@ -1419,7 +1426,7 @@ def make_batch_policy(
         return BatchLruK(policy.k)
     if isinstance(policy, LruPolicy):
         return BatchLru()
-    if isinstance(policy, LifePolicy) and not multi:
+    if isinstance(policy, LifePolicy) and not nway:
         return BatchLife(_batch_oracle(window_oracle, policy.name))
     if isinstance(policy, ProbPolicy):
         # LFU subclasses PROB (identical mechanics, different label).
@@ -1428,12 +1435,12 @@ def make_batch_policy(
         return adapter
     if isinstance(policy, TrieCachePolicy):
         return _batch_trie(policy, kind, models, partner_names)
-    if isinstance(policy, FlowExpectPolicy) and not multi:
-        return _batch_flowexpect(policy, kind, r_model, s_model, cache_size)
+    if isinstance(policy, FlowExpectPolicy) and not nway:
+        return _batch_flowexpect(policy, kind, models, cache_size)
     if isinstance(policy, HeebPolicy):
-        return _batch_heeb(policy, kind, models, partner_names, window)
+        return _batch_heeb(policy, kind, nway, models, partner_names, window)
     raise _unbatchable(
         policy.name,
-        f"no {'multi-join ' if multi else ''}adapter for policy type "
+        f"no {'multi-join ' if nway else ''}adapter for policy type "
         f"{type(policy).__name__}",
     )

@@ -27,9 +27,7 @@ from .replay import (
     generate_join_stream,
     generate_multi_join_stream,
     generate_reference_stream,
-    replay_join,
-    replay_multi,
-    replay_reference,
+    replay,
     run_replay,
 )
 from .server import DEFAULT_QUEUE_MAXSIZE, ServerClosed, Shard, StreamServer
@@ -50,9 +48,7 @@ __all__ = [
     "merged_snapshot",
     "metrics_text",
     "partition_tuples",
-    "replay_join",
-    "replay_multi",
-    "replay_reference",
+    "replay",
     "reshard",
     "run_replay",
     "server_health",

@@ -29,9 +29,7 @@ __all__ = [
     "generate_join_stream",
     "generate_multi_join_stream",
     "generate_reference_stream",
-    "replay_join",
-    "replay_multi",
-    "replay_reference",
+    "replay",
     "ReplaySummary",
     "run_replay",
 ]
@@ -121,74 +119,42 @@ def arrivals_from_trace(
 # ----------------------------------------------------------------------
 # Producers
 # ----------------------------------------------------------------------
-async def replay_join(
+async def replay(
     server: StreamServer,
-    r_values: Sequence[Value],
-    s_values: Sequence[Value],
+    r_values: Union[Sequence[Value], Mapping[str, Sequence[Value]]],
+    s_values: Optional[Sequence[Value]] = None,
     *,
     n_producers: int = 1,
 ) -> int:
-    """Push a join stream through the server with concurrent producers.
+    """Push a stream through the server with concurrent producers.
 
-    Producer ``i`` of ``P`` submits steps ``i, i + P, i + 2P, ...``
-    concurrently.  With one producer (the default) submission order is
-    exactly the simulator's step order, which keeps single-shard replay
+    The stream is a cache server's reference sequence, a join server's
+    name-keyed stream mapping (one :meth:`~StreamServer.submit_multi`
+    per tick), or its R and S sequences (one
+    :meth:`~StreamServer.submit` per tick); ticks are truncated to the
+    shortest stream, mirroring the scalar simulator.  Producer ``i`` of
+    ``P`` submits steps ``i, i + P, i + 2P, ...`` concurrently.  With
+    one producer (the default) submission order is exactly the
+    simulator's step order, which keeps single-shard replay
     deterministic; more producers demonstrate concurrent ingestion and
     backpressure but make per-shard arrival interleaving scheduling-
     dependent.  Returns the number of ticks submitted.
     """
-    n = min(len(r_values), len(s_values))
-
-    async def producer(offset: int) -> None:
-        for t in range(offset, n, n_producers):
-            await server.submit(t, r_values[t], s_values[t])
-
-    if n_producers == 1:
-        await producer(0)
+    if server.spec.kind == "cache":
+        submit, ticks = server.submit_reference, [(v,) for v in r_values]
+    elif isinstance(r_values, Mapping):
+        submit = server.submit_multi
+        ticks = [
+            (dict(zip(r_values, values)),) for values in zip(*r_values.values())
+        ]
     else:
-        await asyncio.gather(*(producer(i) for i in range(n_producers)))
-    return n
-
-
-async def replay_multi(
-    server: StreamServer,
-    streams: Mapping[str, Sequence[Value]],
-    *,
-    n_producers: int = 1,
-) -> int:
-    """Push a multi-join stream mapping through the server.
-
-    ``streams`` maps stream name to its per-step value list; ticks are
-    truncated to the shortest stream, mirroring the scalar simulator.
-    The producer-striding contract matches :func:`replay_join`.
-    """
-    n = min((len(v) for v in streams.values()), default=0)
+        assert s_values is not None
+        submit, ticks = server.submit, list(zip(r_values, s_values))
+    n = len(ticks)
 
     async def producer(offset: int) -> None:
         for t in range(offset, n, n_producers):
-            await server.submit_multi(
-                t, {name: streams[name][t] for name in streams}
-            )
-
-    if n_producers == 1:
-        await producer(0)
-    else:
-        await asyncio.gather(*(producer(i) for i in range(n_producers)))
-    return n
-
-
-async def replay_reference(
-    server: StreamServer,
-    references: Sequence[Value],
-    *,
-    n_producers: int = 1,
-) -> int:
-    """Push a caching-problem reference stream through the server."""
-    n = len(references)
-
-    async def producer(offset: int) -> None:
-        for t in range(offset, n, n_producers):
-            await server.submit_reference(t, references[t])
+            await submit(t, *ticks[t])
 
     if n_producers == 1:
         await producer(0)
@@ -293,20 +259,7 @@ async def _replay(
     if metrics_port is not None:
         await server.start_metrics(host=metrics_host, port=metrics_port)
     start = time.perf_counter()
-    if server.spec.kind == "join":
-        assert s_values is not None
-        steps = await replay_join(
-            server, r_values, s_values, n_producers=n_producers
-        )
-    elif server.spec.kind == "multi_join":
-        assert isinstance(r_values, Mapping)
-        steps = await replay_multi(
-            server, r_values, n_producers=n_producers
-        )
-    else:
-        steps = await replay_reference(
-            server, r_values, n_producers=n_producers
-        )
+    steps = await replay(server, r_values, s_values, n_producers=n_producers)
     await server.drain()
     seconds = time.perf_counter() - start
     if health_path is not None:
@@ -338,10 +291,10 @@ def run_replay(
     """Replay a stream through a fresh server and summarize the run.
 
     Synchronous wrapper (``asyncio.run``) so CLIs, benches, and tests
-    need no event-loop plumbing.  ``s_values`` is required for join
-    specs and ignored otherwise; for multi-join specs pass the
-    name-keyed stream mapping (:func:`generate_multi_join_stream`) as
-    ``r_values``.  ``metrics_port`` (0 = ephemeral) serves ``/metrics``
+    need no event-loop plumbing.  The stream arguments are those of
+    :func:`replay`: a join spec takes ``r_values`` and ``s_values`` or
+    the name-keyed stream mapping (:func:`generate_multi_join_stream`)
+    as ``r_values``; a cache spec takes the reference sequence.  ``metrics_port`` (0 = ephemeral) serves ``/metrics``
     and ``/health`` live for the duration of the replay;
     ``health_path`` writes the final health document as JSON.
     """
@@ -389,9 +342,9 @@ def run_replay(
         ),
         shard_occupancy=[s.occupancy for s in server.shards],
     )
-    if spec.kind in ("join", "multi_join"):
-        summary.total_results = server.total_results
-    else:
+    if spec.kind == "cache":
         summary.hits = server.hits
         summary.misses = server.misses
+    else:
+        summary.total_results = server.total_results
     return summary

@@ -8,10 +8,11 @@ transition over the *same* state objects, a single-shard server replay
 of a seeded stream is decision-identical to the scalar simulator — the
 parity suite (``tests/test_serve_parity.py``,
 ``tests/test_serve_multi.py``) pins kept/victim uids, hit counts, and
-:mod:`repro.obs` counters byte for byte.  All three problem kinds are
-served: two-stream joins, the caching problem, and the Appendix-C
-multi-join topologies (``kind="multi_join"``, fed via
-:meth:`StreamServer.submit_multi`).
+:mod:`repro.obs` counters byte for byte.  Joins of any topology are
+served through one path — the spec's stream names and queries, with the
+binary join as its ``R⋈S`` topology (:meth:`StreamServer.submit` maps
+an ``(r, s)`` tick onto those names, :meth:`StreamServer.submit_multi`
+takes arrivals by name) — and so is the caching problem.
 
 Architecture
 ------------
@@ -58,15 +59,15 @@ from ..core.tuples import StreamTuple, TupleFactory
 from ..obs.hist import HistogramSet, LogHistogram
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..obs.spans import SERVE_SPAN_PREFIX, SpanTracker
-from ..policies.base import ReplacementPolicy, binary_topology
+from ..policies.base import ReplacementPolicy
 from ..sim.engine import ExperimentSpec
 from ..sim.step import (
+    RS_NAMES,
     CacheStepState,
     MultiJoinStepState,
     build_multi_join_state,
     cache_step,
     make_cache_state,
-    make_join_state,
     multi_join_step,
 )
 from ..streams.base import Value
@@ -93,9 +94,8 @@ class Shard:
 
     Created and owned by :class:`StreamServer`; exposed read-only for
     inspection (tests, stats).  ``state`` is a
-    :class:`~repro.sim.step.MultiJoinStepState` (both join kinds; the
-    binary join is the 2-stream topology ``R⋈S``) or a
-    :class:`~repro.sim.step.CacheStepState`.
+    :class:`~repro.sim.step.MultiJoinStepState` (any join topology; the
+    binary join is ``R⋈S``) or a :class:`~repro.sim.step.CacheStepState`.
     """
 
     def __init__(
@@ -147,10 +147,10 @@ class StreamServer:
     Parameters
     ----------
     spec:
-        The problem description (``kind`` may be ``"join"``, ``"cache"``,
-        or ``"multi_join"`` — the Appendix-C generalization is served
-        through :meth:`submit_multi`).  ``cache_size`` is the
-        *per-shard* capacity.
+        The problem description: a join of any topology (its
+        :attr:`~repro.sim.engine.ExperimentSpec.names` and ``queries``;
+        ``kind="join"`` is ``R⋈S``) or ``kind="cache"``.
+        ``cache_size`` is the *per-shard* capacity.
     policy_factory:
         Builds a fresh replacement policy per shard, exactly like the
         per-trial factories of :func:`~repro.sim.runner.run_experiment`.
@@ -180,17 +180,6 @@ class StreamServer:
         step_delay: float = 0.0,
     ):
         """Validate the spec and build the (not yet started) shards."""
-        if spec.kind == "multi_join":
-            # The query streams in first-mention order, unless the models
-            # name the streams (shard construction rejects a query naming
-            # an unknown stream).
-            self._names: tuple[str, ...] = tuple(
-                spec.models or dict.fromkeys(n for q in spec.queries for n in q)
-            )
-        elif spec.kind == "join":
-            self._names = binary_topology("join")[0]
-        else:
-            self._names = ()
         if queue_maxsize < 1:
             raise ValueError("queue_maxsize must be >= 1")
         if step_delay < 0:
@@ -239,33 +228,23 @@ class StreamServer:
             shard_recorder = self._recorder.fork()
         spec = self._spec
         state: Union[MultiJoinStepState, CacheStepState]
-        if spec.kind == "join":
-            state = make_join_state(
-                spec.cache_size,
-                self._policy_factory(),
-                window=spec.window,
-                band=spec.band,
-                r_model=spec.r_model,
-                s_model=spec.s_model,
-                window_oracle=spec.window_oracle,
-                recorder=shard_recorder,
-            )
-        elif spec.kind == "multi_join":
-            state = build_multi_join_state(
-                spec.cache_size,
-                self._policy_factory(),
-                spec.queries,
-                list(self._names),
-                window=spec.window,
-                band=spec.band,
-                models=spec.models,
-                recorder=shard_recorder,
-            )
-        else:
+        if spec.kind == "cache":
             state = make_cache_state(
                 spec.cache_size,
                 self._policy_factory(),
                 reference_model=spec.r_model,
+                recorder=shard_recorder,
+            )
+        else:
+            state = build_multi_join_state(
+                spec.cache_size,
+                self._policy_factory(),
+                spec.queries,
+                spec.names,
+                window=spec.window,
+                band=spec.band,
+                models=spec.models,
+                window_oracle=spec.window_oracle,
                 recorder=shard_recorder,
             )
         state.factory = TupleFactory(start=uid_start, step=n_shards)
@@ -287,7 +266,7 @@ class StreamServer:
     def names(self) -> tuple[str, ...]:
         """Stream names served, in arrival order (``("R", "S")`` for the
         binary join; empty for caching)."""
-        return self._names
+        return self._spec.names
 
     @property
     def n_shards(self) -> int:
@@ -424,11 +403,11 @@ class StreamServer:
             ),
             "shards": per_shard,
         }
-        if self._spec.kind in ("join", "multi_join"):
-            stats["total_results"] = self.total_results
-        else:
+        if self._spec.kind == "cache":
             stats["hits"] = self.hits
             stats["misses"] = self.misses
+        else:
+            stats["total_results"] = self.total_results
         return stats
 
     # ------------------------------------------------------------------
@@ -450,7 +429,7 @@ class StreamServer:
         shard.worker = asyncio.create_task(
             self._worker(shard), name=f"repro-serve-shard-{shard.index}"
         )
-        shard.worker.add_done_callback(lambda _: self._discard_if_failed(shard))
+        shard.worker.add_done_callback(lambda _: self._discard_if_dead(shard))
 
     async def _worker(self, shard: Shard) -> None:
         """Consume the shard queue, applying one step per event.
@@ -513,23 +492,24 @@ class StreamServer:
                     f"shard {shard.index} worker failed"
                 ) from exc
 
-    def _discard_if_failed(self, shard: Shard) -> None:
-        """Empty a crashed shard's queue, waking a producer blocked on it.
+    def _discard_if_dead(self, shard: Shard) -> None:
+        """Empty a dead shard's queue, waking a producer blocked on it.
 
-        Runs when the worker exits.  Each discarded event wakes one
+        Runs when the worker exits; a worker is dead when it crashed or
+        :meth:`abort` cancelled it.  Each discarded event wakes one
         producer blocked on the full queue; its put then lands and
-        :meth:`_enqueue` calls this again before raising the failure,
-        which wakes the next, so every producer blocked on the dead
-        shard gets the worker's error instead of waiting forever.  The
-        events could never be applied: a failed shard stays failed.
-        They stay counted as unfinished, so the queue's ``join()``
-        never resolves and :meth:`drain` raises the failure instead of
-        reporting the shard drained.
+        :meth:`_enqueue` calls this again before raising the worker's
+        failure (or :class:`ServerClosed` after an abort), which wakes
+        the next, so every producer blocked on the dead shard gets an
+        error instead of waiting forever.  The events could never be
+        applied: a dead shard stays dead.  They stay counted as
+        unfinished, so the queue's ``join()`` never resolves and
+        :meth:`drain` raises instead of reporting the shard drained.
         """
         worker = shard.worker
-        if worker is None or not worker.done() or worker.cancelled():
+        if worker is None or not worker.done():
             return
-        if worker.exception() is None:
+        if not worker.cancelled() and worker.exception() is None:
             return
         queue = shard.queue
         while not queue.empty():
@@ -550,8 +530,9 @@ class StreamServer:
         span; when the queue is full the blocked time is accumulated
         into the backpressure duty-cycle accounting and emitted as the
         ``serve.backpressure.wait_ms`` series.  A producer whose blocked
-        put returns because the worker died raises the worker's failure
-        (see :meth:`_discard_if_failed`).
+        put returns because the worker died raises the worker's failure,
+        or :class:`ServerClosed` when :meth:`abort` cancelled it (see
+        :meth:`_discard_if_dead`).
         """
         self._raise_if_worker_failed(shard)
         queue = shard.queue
@@ -564,8 +545,10 @@ class StreamServer:
                 self._recorder.count("serve.backpressure.engaged")
             wait_start = perf_counter()
             await queue.put(event + (wait_start if spans_on else 0.0,))
-            self._discard_if_failed(shard)
+            self._discard_if_dead(shard)
             self._raise_if_worker_failed(shard)
+            if shard.worker is not None and shard.worker.cancelled():
+                raise ServerClosed("server aborted; the event was discarded")
             waited = perf_counter() - wait_start
             shard.backpressure_wait_seconds += waited
             self.backpressure_wait_seconds += waited
@@ -588,25 +571,16 @@ class StreamServer:
     # Producers
     # ------------------------------------------------------------------
     async def submit(self, step: int, r_value: Value, s_value: Value) -> None:
-        """Push one join tick: the step's R and S arrivals (``None`` = "−").
-
-        The binary join is the 2-stream topology ``R⋈S``, so the tick is
-        delivered exactly as :meth:`submit_multi` delivers one.
-        """
+        """Push one binary-join tick: the step's R and S arrivals
+        (``None`` = "−"), delivered as :meth:`submit_multi` delivers
+        ``{"R": r_value, "S": s_value}``."""
         self._check_accepting()
-        if self._spec.kind != "join":
+        if self._spec.names != RS_NAMES:
             raise ValueError(
                 "submit() is for join servers; use submit_reference() "
                 "or submit_multi()"
             )
-        spans = self._spans
-        spans_on = spans.active
-        if spans_on:
-            start = perf_counter()
-        for shard, values in self._route(step, (r_value, s_value)):
-            await self._enqueue(shard, (step, values))
-        if spans_on:
-            spans.record("submit", step, (perf_counter() - start) * 1000.0)
+        await self._submit_join(step, (r_value, s_value))
 
     async def submit_reference(self, step: int, value: Value) -> None:
         """Push one caching-problem reference (``None`` = skipped "−")."""
@@ -635,17 +609,22 @@ class StreamServer:
             spans.record("submit", step, (perf_counter() - start) * 1000.0)
 
     async def submit_multi(self, step: int, arrivals: Mapping[str, Value]) -> None:
-        """Push one multi-join tick: arrivals keyed by stream name.
+        """Push one join tick: arrivals keyed by stream name.
 
         Streams absent from ``arrivals`` are treated as "−" (``None``).
         """
         self._check_accepting()
-        if self._spec.kind != "multi_join":
+        if self._spec.kind == "cache":
             raise ValueError("submit_multi() is for multi-join servers")
-        unknown = set(arrivals) - set(self._names)
+        names = self._spec.names
+        unknown = set(arrivals) - set(names)
         if unknown:
             raise ValueError(f"arrivals for unknown streams {sorted(unknown)}")
-        values = tuple(arrivals.get(name) for name in self._names)
+        await self._submit_join(step, tuple(arrivals.get(name) for name in names))
+
+    async def _submit_join(self, step: int, values: tuple) -> None:
+        """Route and enqueue one join tick, ``values`` in :attr:`names`
+        order, timing the ``submit`` span."""
         spans = self._spans
         spans_on = spans.active
         if spans_on:
@@ -771,7 +750,12 @@ class StreamServer:
             raise failures[0]
 
     async def abort(self) -> None:
-        """Hard shutdown: cancel workers without draining queues."""
+        """Hard shutdown: cancel workers without draining queues.
+
+        Each cancelled worker's queue is emptied as it exits, so a
+        producer blocked on a full queue wakes and raises
+        :class:`ServerClosed` (see :meth:`_discard_if_dead`).
+        """
         self._stopping = True
         for shard in self._shards:
             if shard.worker is not None:

@@ -1,4 +1,9 @@
-"""Simulators: two-stream joining, classic caching, and run orchestration.
+"""Simulators: joins of any topology, classic caching, and run orchestration.
+
+One join simulator (:class:`MultiJoinSimulator`) runs every join
+topology and returns one result type (:class:`JoinRunResult`); the
+binary join is its ``R⋈S`` topology, built by :class:`JoinSimulator`
+or by a ``kind="join"`` :class:`ExperimentSpec`.
 
 Execution is layered (:mod:`repro.sim.engine`): experiment entry points
 describe the problem with an :class:`ExperimentSpec` and a
@@ -30,7 +35,6 @@ from .batch import (
 from .cache_sim import CacheRunResult, CacheSimulator
 from .join_sim import JoinRunResult, JoinSimulator
 from .multi_join import (
-    MultiJoinRunResult,
     MultiJoinSimulator,
     brute_force_multi_benefit,
     solve_opt_offline_multi,
@@ -50,7 +54,6 @@ from .runner import (
     CacheExperimentResult,
     ExperimentResult,
     JoinExperimentResult,
-    MultiJoinExperimentResult,
     generate_paths,
     generate_reference_paths,
     run_cache_experiment,
@@ -65,7 +68,6 @@ __all__ = [
     "EngineRun",
     "ExperimentResult",
     "ExperimentSpec",
-    "MultiJoinExperimentResult",
     "ParallelEngine",
     "RunResult",
     "ScalarEngine",
@@ -87,7 +89,6 @@ __all__ = [
     "JoinExperimentResult",
     "JoinRunResult",
     "JoinSimulator",
-    "MultiJoinRunResult",
     "MultiJoinSimulator",
     "brute_force_multi_benefit",
     "generate_paths",

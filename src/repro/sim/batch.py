@@ -1,6 +1,6 @@
 """Vectorized batch Monte-Carlo engine: B independent trials at once.
 
-The scalar simulators (:class:`~repro.sim.join_sim.JoinSimulator`,
+The scalar simulators (:class:`~repro.sim.multi_join.MultiJoinSimulator`,
 :class:`~repro.sim.cache_sim.CacheSimulator`) drive one sample path at a
 time through Python-object caches; the paper's experiments average 50
 such runs per configuration, and sweeps repeat that per cache size and
@@ -54,14 +54,12 @@ from ..policies.base import binary_topology
 from ..policies.batch import NONE_VALUE, R_CODE, S_CODE, BatchPolicy
 from ..streams.base import Value
 from .cache_sim import CacheRunResult
-from .join_sim import JoinRunResult
-from .multi_join import MultiJoinRunResult
-from .step import check_run_params, multi_partner_names
+from .multi_join import JoinRunResult
+from .step import check_run_params, is_rs_join, multi_partner_names
 
 __all__ = [
     "BatchState",
     "BatchCacheRunResult",
-    "BatchMultiJoinRunResult",
     "BatchCacheSimulator",
     "BatchMultiJoinSimulator",
     "values_to_array",
@@ -171,69 +169,6 @@ class BatchCacheRunResult:
                 skipped=int(self.skipped[b]),
             )
             for b in range(self.hits.size)
-        ]
-
-
-@dataclass
-class BatchMultiJoinRunResult:
-    """Per-trial outcomes of one batched join run (arrays over B)."""
-
-    total_results: np.ndarray
-    results_after_warmup: np.ndarray
-    steps: int
-    warmup: int
-    cache_size: int
-    #: The query pairs, in spec order (columns of :attr:`per_query`).
-    queries: list[tuple[str, str]]
-    #: ``(B, n_queries)`` results attributed to each query.
-    per_query: np.ndarray
-    #: stream name -> ``(B, steps)`` cached-tuple counts after each step.
-    occupancy_by_stream: dict[str, np.ndarray]
-    #: The run was the binary join ``R⋈S`` (see
-    #: :class:`BatchMultiJoinSimulator`).
-    binary: bool = False
-
-    def unbatch(self) -> list:
-        """Split into scalar-compatible per-trial results.
-
-        A binary run yields :class:`~repro.sim.join_sim.JoinRunResult`\ s,
-        as :class:`~repro.sim.join_sim.JoinSimulator` returns; any other
-        topology yields
-        :class:`~repro.sim.multi_join.MultiJoinRunResult`\ s.
-        """
-        n_trials = self.total_results.size
-        if self.binary:
-            r_occupancy = self.occupancy_by_stream["R"]
-            occupancy = r_occupancy + self.occupancy_by_stream["S"]
-            return [
-                JoinRunResult(
-                    total_results=int(self.total_results[b]),
-                    results_after_warmup=int(self.results_after_warmup[b]),
-                    steps=self.steps,
-                    warmup=self.warmup,
-                    cache_size=self.cache_size,
-                    r_occupancy=r_occupancy[b].copy(),
-                    occupancy=occupancy[b],
-                )
-                for b in range(n_trials)
-            ]
-        return [
-            MultiJoinRunResult(
-                total_results=int(self.total_results[b]),
-                results_after_warmup=int(self.results_after_warmup[b]),
-                steps=self.steps,
-                warmup=self.warmup,
-                cache_size=self.cache_size,
-                per_query={
-                    frozenset(q): int(self.per_query[b, i])
-                    for i, q in enumerate(self.queries)
-                },
-                occupancy_by_stream={
-                    name: occ[b].copy()
-                    for name, occ in self.occupancy_by_stream.items()
-                },
-            )
-            for b in range(n_trials)
         ]
 
 
@@ -561,9 +496,8 @@ class BatchMultiJoinSimulator:
     within ``band``, arrival minting in stream order, eviction) as
     whole-array operations.  ``side`` is the stream's index in arrival
     order, so the binary join's R/S are the adapters' ``R_CODE`` /
-    ``S_CODE``.  ``binary`` mirrors :func:`~repro.sim.step.make_join_state`:
-    the binary series set, and :class:`~repro.sim.join_sim.JoinRunResult`
-    trials from ``unbatch``.
+    ``S_CODE``; an ``R⋈S`` run records the binary series set, as
+    :class:`~repro.sim.step.MultiJoinStepState` does.
 
     An enabled ``recorder`` receives the counters and per-step series a
     scalar recorder collects over the same trials, aggregated over the
@@ -581,7 +515,6 @@ class BatchMultiJoinSimulator:
         band: int = 0,
         recorder: Recorder = NULL_RECORDER,
         policy_name: str = "policy",
-        binary: bool = False,
     ):
         """Validate the query set and bind the shared-cache parameters."""
         check_run_params(cache_size, warmup, window, band)
@@ -594,10 +527,12 @@ class BatchMultiJoinSimulator:
         self._band = band
         self._recorder = recorder
         self._policy_name = policy_name
-        self._binary = binary
 
-    def run(self, streams: Mapping[str, np.ndarray]) -> BatchMultiJoinRunResult:
-        """Simulate every trial in lock-step over per-stream value arrays."""
+    def run(self, streams: Mapping[str, np.ndarray]) -> list[JoinRunResult]:
+        """Simulate every trial in lock-step over per-stream value arrays.
+
+        Returns one scalar-compatible result per trial, in trial order.
+        """
         names = list(streams)
         multi_partner_names(self._queries, names)
         arrs = [np.asarray(streams[name], dtype=np.int64) for name in names]
@@ -647,7 +582,7 @@ class BatchMultiJoinSimulator:
         rec = self._recorder
         rec_on = rec.enabled
         # Probe outcomes feed the n-way cache.hit_rate series only.
-        probes_on = rec_on and not self._binary
+        probes_on = rec_on and not is_rs_join(names, self._queries)
         expired_total = 0
         evicted_total = 0
         # Per-step results and cumulative probe hits, kept only to
@@ -721,7 +656,7 @@ class BatchMultiJoinSimulator:
         occ[query_codes[-1]] = occ_total - sum(occ.values())
         occupancy = {name: np.zeros((n_trials, n), dtype=np.int64) for name in names}
         for code, log in occ.items():
-            occupancy[names[code]] = log.T.copy()
+            occupancy[names[code]] = log.T
         if rec_on:
             self._record_counters(
                 names, arrs, total, expired_total, evicted_total
@@ -732,17 +667,23 @@ class BatchMultiJoinSimulator:
                 occ_total, logs, np.cumsum(probes, axis=0) * probes_on
             )
             _emit_policy_series(rec, policy, cutoff_log)
-        return BatchMultiJoinRunResult(
-            total_results=total,
-            results_after_warmup=after_warmup,
-            steps=n,
-            warmup=self._warmup,
-            cache_size=k,
-            queries=self._queries,
-            per_query=per_query,
-            occupancy_by_stream=occupancy,
-            binary=self._binary,
-        )
+        return [
+            JoinRunResult(
+                total_results=int(total[b]),
+                results_after_warmup=int(after_warmup[b]),
+                steps=n,
+                warmup=self._warmup,
+                cache_size=k,
+                per_query={
+                    frozenset(q): int(per_query[b, i])
+                    for i, q in enumerate(self._queries)
+                },
+                occupancy_by_stream={
+                    name: occ[b].copy() for name, occ in occupancy.items()
+                },
+            )
+            for b in range(n_trials)
+        ]
 
     def _record_counters(
         self,
@@ -783,7 +724,7 @@ class BatchMultiJoinSimulator:
         recorder's series aggregates, including the order-dependent
         downsampling buffers and histogram sums, come out bit-identical
         to a scalar run.  ``cache.hit_rate`` points exist only once a
-        trial has probed (never on a binary run, which counts no
+        trial has probed (never on an ``R⋈S`` run, which counts no
         probes), with the same integer operands.
         """
         rec = self._recorder

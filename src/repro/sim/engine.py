@@ -9,9 +9,8 @@ dissolves that coupling into an explicit operator/engine split:
   (problem kind, cache size, warmup, window, band, stream models, window
   oracle, multi-join queries), independent of *how* it runs;
 * :class:`RunResult` — the common base of every per-trial outcome
-  (:class:`~repro.sim.join_sim.JoinRunResult`,
-  :class:`~repro.sim.cache_sim.CacheRunResult`,
-  :class:`~repro.sim.multi_join.MultiJoinRunResult`);
+  (:class:`~repro.sim.multi_join.JoinRunResult` for joins of any
+  topology, :class:`~repro.sim.cache_sim.CacheRunResult`);
 * :class:`Engine` — the execution-tier interface.  Three tiers ship:
 
   ============  =====================================================
@@ -49,7 +48,7 @@ import pickle
 import signal
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -57,7 +56,7 @@ import numpy as np
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..policies.base import WindowOracle
 from ..streams.base import StreamModel
-from .step import check_run_params
+from .step import RS_QUERIES, check_run_params
 
 __all__ = [
     "RunResult",
@@ -153,7 +152,10 @@ class ExperimentSpec:
     kind:
         ``"join"`` (two-stream equijoin), ``"cache"`` (reference stream
         against a database), or ``"multi_join"`` (several streams under
-        binary join queries).
+        binary join queries).  ``"join"`` is resolved here, once, to the
+        ``R⋈S`` topology (:attr:`names`, :attr:`queries`, :attr:`models`),
+        so every layer below the spec runs one join over the topology
+        and branches only on joining versus caching.
     cache_size / warmup / window / band:
         The simulator parameters of Sections 2, 6.2, and 7.  ``window``
         and ``band`` apply to the joining problems (binary and n-way)
@@ -166,11 +168,16 @@ class ExperimentSpec:
         joins only (the oracle speaks of the R and S streams), so any
         other kind setting one is rejected.
     queries / models:
-        Multi-join only: the binary query pairs and the per-stream model
-        mapping handed to :class:`~repro.sim.multi_join.MultiJoinSimulator`.
+        The join topology: binary query pairs and the per-stream model
+        mapping.  Given for ``"multi_join"``; a ``"join"`` spec's are
+        ``(("R", "S"),)`` and ``{"R": r_model, "S": s_model}``.
     seed:
         Bookkeeping: the base seed the input paths were drawn with, when
         known.  Engines never consume it (paths are pre-sampled).
+    names:
+        Derived: the join's stream names in arrival order — the model
+        names, else the queried streams in first-mention order; empty
+        for ``"cache"``.
     """
 
     kind: str
@@ -184,6 +191,7 @@ class ExperimentSpec:
     queries: Optional[Sequence[tuple[str, str]]] = None
     models: Optional[Mapping[str, StreamModel]] = None
     seed: Optional[int] = None
+    names: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -201,6 +209,26 @@ class ExperimentSpec:
                 "window_oracle applies to binary join specs only, "
                 f"not to {self.kind} specs"
             )
+        if self.kind == "join":
+            self.queries = RS_QUERIES
+            self.models = {"R": self.r_model, "S": self.s_model}
+        if self.kind == "cache":
+            self.names = ()
+        else:
+            self.names = tuple(
+                self.models or dict.fromkeys(n for q in self.queries for n in q)
+            )
+
+    def trial_streams(self, item) -> Mapping:
+        """One join trial as a ``{stream name: values}`` mapping.
+
+        A mapping passes through; a sequence of value columns (a
+        ``"join"`` trial's ``(r_values, s_values)``) is keyed by
+        :attr:`names`.
+        """
+        if isinstance(item, Mapping):
+            return item
+        return dict(zip(self.names, item))
 
 
 #: A zero-argument callable producing a fresh policy instance per trial.
@@ -243,9 +271,11 @@ class Engine(abc.ABC):
     ) -> EngineRun:
         """Execute one trial per ``data`` item and return ordered results.
 
-        ``data`` items depend on ``spec.kind``: ``(r_values, s_values)``
-        pairs for ``"join"``, reference sequences for ``"cache"``, and
-        ``{stream_name: values}`` mappings for ``"multi_join"``.
+        ``data`` items are reference sequences for ``"cache"``; a join
+        trial is a ``{stream_name: values}`` mapping or its value
+        columns in :attr:`ExperimentSpec.names` order (a ``"join"``
+        spec's ``(r_values, s_values)`` pairs), see
+        :meth:`ExperimentSpec.trial_streams`.
 
         ``recorder`` is the observability sink (:mod:`repro.obs`)
         shared by every trial of the run; the default no-op recorder
@@ -265,22 +295,6 @@ def _run_one_scalar(
     recorder: Recorder = NULL_RECORDER,
 ) -> RunResult:
     """Run one trial through the reference simulator for ``spec.kind``."""
-    if spec.kind == "join":
-        from .join_sim import JoinSimulator
-
-        r_values, s_values = item
-        sim = JoinSimulator(
-            spec.cache_size,
-            policy,
-            warmup=spec.warmup,
-            window=spec.window,
-            band=spec.band,
-            r_model=spec.r_model,
-            s_model=spec.s_model,
-            window_oracle=spec.window_oracle,
-            recorder=recorder,
-        )
-        return sim.run(r_values, s_values)
     if spec.kind == "cache":
         from .cache_sim import CacheSimulator
 
@@ -302,9 +316,10 @@ def _run_one_scalar(
         window=spec.window,
         band=spec.band,
         models=spec.models,
+        window_oracle=spec.window_oracle,
         recorder=recorder,
     )
-    return sim.run(item)
+    return sim.run(spec.trial_streams(item))
 
 
 class ScalarEngine(Engine):
@@ -339,8 +354,8 @@ class BatchEngine(Engine):
     """The vectorized tier: all trials advance in lockstep over
     ``(B, slots)`` NumPy arrays (:mod:`repro.sim.batch`).
 
-    Capability: joining, caching, and multi-join specs whose policy has
-    an exact batch adapter
+    Capability: joining (any topology) and caching specs whose policy
+    has an exact batch adapter
     (:func:`~repro.policies.batch.make_batch_policy`).
     """
 
@@ -349,7 +364,6 @@ class BatchEngine(Engine):
     def _adapter(self, spec: ExperimentSpec, policy):
         from ..policies.batch import make_batch_policy
 
-        # Each kind reads its own arguments.
         return make_batch_policy(
             policy,
             kind=spec.kind,
@@ -398,29 +412,22 @@ class BatchEngine(Engine):
                 recorder=recorder,
                 policy_name=policy.name,
             )
-            batched = sim.run(values_to_array(data))
+            per_run = sim.run(values_to_array(data)).unbatch()
         else:
-            queries = spec.queries
-            if spec.kind == "join":
-                # The binary join is the 2-stream topology R⋈S.
-                data = [{"R": r, "S": s} for r, s in data]
-                queries = [("R", "S")]
-            arrays = streams_to_arrays(data)
+            arrays = streams_to_arrays([spec.trial_streams(i) for i in data])
             if not arrays:
                 return EngineRun(policy_name=policy.name, per_run=[])
             sim = BatchMultiJoinSimulator(
                 spec.cache_size,
                 adapter,
-                queries,
+                spec.queries,
                 warmup=spec.warmup,
                 window=spec.window,
                 band=spec.band,
                 recorder=recorder,
                 policy_name=policy.name,
-                binary=spec.kind == "join",
             )
-            batched = sim.run(arrays)
-        per_run = batched.unbatch()
+            per_run = sim.run(arrays)
         if recorder.enabled:
             recorder.count("trials.done", len(per_run))
         return EngineRun(policy_name=policy.name, per_run=per_run)

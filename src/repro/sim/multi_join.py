@@ -14,14 +14,14 @@ policies serve both shapes: HEEB over
 :class:`~repro.policies.heeb_policy.GenericJoinHeeb` applies the
 appendix's per-partner benefit summation (the "summary" rule).  The
 step itself (:func:`repro.sim.step.multi_join_step`) is the one join
-transition of every tier; the binary
-:class:`~repro.sim.join_sim.JoinSimulator` is its 2-stream case.  This
-module adds:
+transition of every tier.  This module adds:
 
-* :func:`drive_join` -- the finite driver loop both simulators share;
-* :class:`MultiJoinSimulator` -- ``n`` named streams, a set of binary
-  equijoin queries (stream-name pairs), one shared cache, with the
-  Section-7 sliding windows and band joins of the binary join;
+* :class:`MultiJoinSimulator` -- the one join simulator: ``n`` named
+  streams, a set of binary equijoin queries (stream-name pairs), one
+  shared cache, with Section-7 sliding windows and band joins.  The
+  binary :class:`~repro.sim.join_sim.JoinSimulator` is its ``R⋈S``
+  constructor;
+* :class:`JoinRunResult` -- the outcome of one join run, any topology;
 * :func:`solve_opt_offline_multi` -- re-exported from
   :mod:`repro.flow.opt_offline`: the compact OPT-offline formulation
   with per-match-step benefit *counts* (a tuple may match arrivals from
@@ -40,11 +40,10 @@ import numpy as np
 
 from ..flow.opt_offline import solve_opt_offline_multi
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..policies.base import ReplacementPolicy
+from ..policies.base import ReplacementPolicy, WindowOracle
 from ..streams.base import StreamModel, Value
 from .engine import RunResult
 from .step import (
-    MultiJoinStepState,
     build_multi_join_state,
     check_run_params,
     multi_join_step,
@@ -52,8 +51,7 @@ from .step import (
 )
 
 __all__ = [
-    "drive_join",
-    "MultiJoinRunResult",
+    "JoinRunResult",
     "MultiJoinSimulator",
     "solve_opt_offline_multi",
     "brute_force_multi_benefit",
@@ -63,43 +61,9 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Simulator
 # ----------------------------------------------------------------------
-def drive_join(
-    state: MultiJoinStepState,
-    columns: Sequence[Sequence[Value]],
-    warmup: int,
-) -> tuple[int, int, dict[str, np.ndarray]]:
-    """Feed value columns through :func:`~repro.sim.step.multi_join_step`.
-
-    ``columns[i]`` is stream ``state.names[i]``'s value sequence; the run
-    lasts as long as the shortest one.  Returns the step count, the
-    results produced from step ``warmup`` on, and each stream's per-step
-    cached-tuple count (after that step's evictions) — the finite driver
-    shared by :class:`MultiJoinSimulator` and
-    :class:`~repro.sim.join_sim.JoinSimulator`.
-    """
-    count = state.cache.side_counts.get
-    logs: dict[str, list[int]] = {
-        name: [] for name, probes in zip(state.names, state.probes) if probes
-    }
-    appends = [(name, log.append) for name, log in logs.items()]
-    after_warmup = 0
-    for t, values in enumerate(zip(*columns)):
-        results = multi_join_step(state, t, values).results
-        if t >= warmup:
-            after_warmup += results
-        for name, append in appends:
-            append(count(name, 0))
-    n = min(len(column) for column in columns)
-    occupancy = {
-        name: np.array(logs.get(name, [0] * n), dtype=np.int64)
-        for name in state.names
-    }
-    return n, after_warmup, occupancy
-
-
 @dataclass
-class MultiJoinRunResult(RunResult):
-    """Outcome of one multi-join run (result counts and occupancy)."""
+class JoinRunResult(RunResult):
+    """Outcome of one join run (result counts and occupancy), any topology."""
 
     total_results: int
     results_after_warmup: int
@@ -108,8 +72,23 @@ class MultiJoinRunResult(RunResult):
     cache_size: int
     #: results attributed to each query (unordered stream-name pair).
     per_query: dict[frozenset, int]
-    #: per-step cache occupancy per stream.
+    #: per-step cache occupancy per stream (after that step's evictions).
     occupancy_by_stream: dict[str, np.ndarray]
+
+    @property
+    def r_occupancy(self) -> np.ndarray:
+        """Per-step count of cached stream-R tuples."""
+        return self.occupancy_by_stream["R"]
+
+    @property
+    def occupancy(self) -> np.ndarray:
+        """Per-step total cache occupancy."""
+        return sum(self.occupancy_by_stream.values())
+
+    @property
+    def r_fraction(self) -> np.ndarray:
+        """Fraction of the cache capacity held by R tuples at each step."""
+        return self.r_occupancy / max(self.cache_size, 1)
 
     @property
     def primary_metric(self) -> float:
@@ -132,15 +111,25 @@ class MultiJoinSimulator:
         once; self-joins are rejected.
     warmup:
         Results produced during the first ``warmup`` steps are excluded
-        from ``results_after_warmup``.
-    window / band:
-        Section-7 sliding window and band-join width, exactly as for
-        :class:`~repro.sim.join_sim.JoinSimulator`.
+        from ``results_after_warmup`` (the paper uses at least 4× the
+        cache size).
+    window:
+        Optional sliding-window length (Section 7 semantics): a tuple
+        that arrived at ``t_x`` joins only while the current time is at
+        most ``t_x + window``; expired tuples leave the cache for free.
+    band:
+        Non-equality band-join generalization: a new arrival with value
+        ``v`` joins cached partner tuples with values in ``[v − band,
+        v + band]``.  ``0`` (the default) is the paper's equijoin.
     models:
         Optional per-stream models handed to model-aware policies.
+    window_oracle:
+        Value-window knowledge passed through to window-aware baselines
+        (it speaks of streams R and S).
     recorder:
-        Observability sink (:mod:`repro.obs`); the default no-op sink
-        keeps the loop uninstrumented.
+        Observability sink (:mod:`repro.obs`).  The default no-op sink
+        keeps the loop uninstrumented; when the recorder is enabled the
+        run's counter snapshot is attached to the result's ``metrics``.
     """
 
     def __init__(
@@ -152,6 +141,7 @@ class MultiJoinSimulator:
         window: int | None = None,
         band: int = 0,
         models: Mapping[str, StreamModel] | None = None,
+        window_oracle: WindowOracle | None = None,
         recorder: Recorder = NULL_RECORDER,
     ):
         """Validate the query set and bind the shared-cache parameters."""
@@ -164,17 +154,17 @@ class MultiJoinSimulator:
         self._window = window
         self._band = band
         self._models = models
+        self._window_oracle = window_oracle
         self._recorder = recorder
 
-    def run(
-        self, streams: Mapping[str, Sequence[Value]]
-    ) -> MultiJoinRunResult:
+    def run(self, streams: Mapping[str, Sequence[Value]]) -> JoinRunResult:
         """Drive the policy over per-stream value sequences.
 
-        The per-step semantics live in
+        The streams arrive in mapping order; the run lasts as long as
+        the shortest one.  The per-step semantics live in
         :func:`repro.sim.step.multi_join_step` (shared with the
-        :mod:`repro.serve` event loop); :func:`drive_join` feeds it and
-        adds warmup accounting and per-stream occupancy.
+        :mod:`repro.serve` event loop); this loop feeds it and adds
+        warmup accounting and per-stream occupancy.
         """
         names = list(streams.keys())
         state = build_multi_join_state(
@@ -185,19 +175,34 @@ class MultiJoinSimulator:
             window=self._window,
             band=self._band,
             models=self._models,
+            window_oracle=self._window_oracle,
             recorder=self._recorder,
         )
-        n, after_warmup, occupancy = drive_join(
-            state, [streams[name] for name in names], self._warmup
-        )
-        result = MultiJoinRunResult(
+        count = state.cache.side_counts.get
+        logs: dict[str, list[int]] = {
+            name: [] for name, probes in zip(names, state.probes) if probes
+        }
+        appends = [(name, log.append) for name, log in logs.items()]
+        after_warmup = 0
+        warmup = self._warmup
+        for t, values in enumerate(zip(*(streams[name] for name in names))):
+            results = multi_join_step(state, t, values).results
+            if t >= warmup:
+                after_warmup += results
+            for name, append in appends:
+                append(count(name, 0))
+        n = min(len(streams[name]) for name in names)
+        result = JoinRunResult(
             total_results=state.total_results,
             results_after_warmup=after_warmup,
             steps=n,
-            warmup=self._warmup,
+            warmup=warmup,
             cache_size=self._cache_size,
             per_query=state.per_query,
-            occupancy_by_stream=occupancy,
+            occupancy_by_stream={
+                name: np.array(logs.get(name, [0] * n), dtype=np.int64)
+                for name in names
+            },
         )
         if self._recorder.enabled:
             result.metrics = self._recorder.snapshot()

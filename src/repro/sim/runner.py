@@ -23,14 +23,12 @@ from ..policies.base import ReplacementPolicy, WindowOracle
 from ..streams.base import StreamModel, Value
 from .cache_sim import CacheRunResult
 from .engine import Engine, ExperimentSpec, RunResult, select_engine, spawn_rng
-from .join_sim import JoinRunResult
-from .multi_join import MultiJoinRunResult
+from .multi_join import JoinRunResult
 
 __all__ = [
     "ExperimentResult",
     "JoinExperimentResult",
     "CacheExperimentResult",
-    "MultiJoinExperimentResult",
     "run_experiment",
     "run_join_experiment",
     "run_cache_experiment",
@@ -67,7 +65,7 @@ class ExperimentResult:
 
 @dataclass
 class JoinExperimentResult(ExperimentResult):
-    """Aggregated joining results of one policy across runs."""
+    """Aggregated joining results of one policy across runs (any topology)."""
 
     per_run: list[JoinRunResult] = field(default_factory=list)
 
@@ -113,27 +111,6 @@ class CacheExperimentResult(ExperimentResult):
     def mean_hit_rate(self) -> float:
         """Mean per-trial hit rate (hits / observations)."""
         return float(np.mean([r.hit_rate for r in self.per_run]))
-
-
-@dataclass
-class MultiJoinExperimentResult(ExperimentResult):
-    """Aggregated multi-join results of one policy across runs."""
-
-    per_run: list[MultiJoinRunResult] = field(default_factory=list)
-
-    @property
-    def mean_results(self) -> float:
-        """Mean post-warmup multi-join results across trials."""
-        return float(
-            np.mean([r.results_after_warmup for r in self.per_run])
-        )
-
-
-_RESULT_TYPES: dict[str, type[ExperimentResult]] = {
-    "join": JoinExperimentResult,
-    "cache": CacheExperimentResult,
-    "multi_join": MultiJoinExperimentResult,
-}
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +182,9 @@ def run_experiment(
     """
     chosen = select_engine(spec, policy_factory, prefer=engine, recorder=recorder)
     outcome = chosen.run(spec, policy_factory, data, recorder=recorder)
-    result_type = _RESULT_TYPES[spec.kind]
+    result_type = (
+        CacheExperimentResult if spec.kind == "cache" else JoinExperimentResult
+    )
     return result_type(
         policy_name=outcome.policy_name,
         per_run=outcome.per_run,
@@ -284,7 +263,7 @@ def run_multi_join_experiment(
     models=None,
     engine: Union[str, Engine, None] = None,
     recorder: Recorder = NULL_RECORDER,
-) -> MultiJoinExperimentResult:
+) -> JoinExperimentResult:
     """Run a multi-join policy over per-trial ``{stream: values}`` maps."""
     spec = ExperimentSpec(
         kind="multi_join",
@@ -296,5 +275,5 @@ def run_multi_join_experiment(
     result = run_experiment(
         spec, policy_factory, trials, engine=engine, recorder=recorder
     )
-    assert isinstance(result, MultiJoinExperimentResult)
+    assert isinstance(result, JoinExperimentResult)
     return result

@@ -9,10 +9,10 @@ holds the two transitions as functions over explicit state objects:
 
 * :class:`MultiJoinStepState` / :func:`multi_join_step` — the join
   transition of Section 2 over any topology of binary equijoin queries
-  (Appendix C), with Section-7 sliding windows and band joins.  The
-  two-stream join ``R⋈S`` is its 2-stream topology:
-  :func:`make_join_state` builds that state and :func:`join_step`
-  advances it, each a few lines over the shared pair;
+  (Appendix C), with Section-7 sliding windows and band joins, built by
+  :func:`build_multi_join_state`.  The two-stream join ``R⋈S`` is its
+  2-stream topology: :func:`make_join_state` and :func:`join_step` are
+  its spellings over the shared pair;
 * :class:`CacheStepState` / :func:`cache_step` — the classic caching
   transition (reference stream against a database).  Caching keeps its
   own step: Theorem 1 equates hits with reduced-join results, but the
@@ -57,6 +57,9 @@ from ..streams.base import StreamModel, Value
 
 __all__ = [
     "check_run_params",
+    "RS_NAMES",
+    "RS_QUERIES",
+    "is_rs_join",
     "MultiJoinStepState",
     "MultiJoinStepOutcome",
     "multi_partner_names",
@@ -112,12 +115,31 @@ def _victim_records(victims: Sequence[StreamTuple]) -> list[dict]:
 # ----------------------------------------------------------------------
 # Joins: any topology of binary equijoin queries
 # ----------------------------------------------------------------------
+#: The binary join ``R⋈S`` as a topology: its stream names, in arrival
+#: order, and its one query.  ``kind="join"`` specs resolve to it.
+RS_NAMES: tuple[str, ...] = binary_topology("join")[0]
+RS_QUERIES: tuple[tuple[str, ...], ...] = (RS_NAMES,)
+
+
+def is_rs_join(names: Sequence[str], queries: Iterable) -> bool:
+    """True when streams ``names`` under ``queries`` are exactly ``R⋈S``.
+
+    The one test for the binary join's topology: streams R and S in
+    that order, and one query joining them.  It fixes the recorded
+    telemetry set (:class:`MultiJoinStepState`), the batch simulator's
+    series and the batch adapters that exist only for ``R⋈S``.
+    """
+    return tuple(names) == RS_NAMES and {frozenset(q) for q in queries} == {
+        frozenset(RS_NAMES)
+    }
+
+
 @dataclass
 class MultiJoinStepState:
     """Mutable state of one join run, step by step.
 
-    Built by :func:`make_join_state` (the binary join ``R⋈S``) or
-    :func:`build_multi_join_state` (any query set); advanced by
+    Built by :func:`build_multi_join_state` (any query set; the binary
+    join ``R⋈S`` through :func:`make_join_state`); advanced by
     :func:`multi_join_step`.  ``ctx`` is the partner-aware
     :class:`~repro.policies.base.PolicyContext` addressing streams by
     name; its ``window`` is the Section-7 sliding window.
@@ -131,11 +153,6 @@ class MultiJoinStepState:
     #: Band-join width: an arrival with value ``v`` joins cached partner
     #: tuples with values in ``[v − band, v + band]`` (0: equijoin).
     band: int = 0
-    #: The recorded set, fixed when the state is built: ``True``
-    #: (``make_join_state``) adds ``r=`` to ``occupancy`` trace events
-    #: and records no ``cache.hit_rate``; ``False`` records the n-way
-    #: probe hit rate and no ``r=``.
-    binary: bool = False
     cache: CacheState = field(default_factory=CacheState)
     factory: TupleFactory = field(default_factory=TupleFactory)
     #: results attributed to each query (unordered stream-name pair).
@@ -143,7 +160,7 @@ class MultiJoinStepState:
     total_results: int = 0
     #: Cumulative probe outcomes: a non-"−" arrival of a query stream
     #: that matched ≥1 cached partner tuple counts as one hit, else one
-    #: miss.  Feeds the ``cache.hit_rate`` series, so a binary run,
+    #: miss.  Feeds the ``cache.hit_rate`` series, so an ``R⋈S`` run,
     #: which records none, counts none.
     probe_hits: int = 0
     probe_misses: int = 0
@@ -156,6 +173,11 @@ class MultiJoinStepState:
     arrival_counters: tuple = field(init=False)
     #: The ``evict.<policy name>`` counter of policy evictions.
     evict_counter: str = field(init=False)
+    #: The topology is ``R⋈S`` (:func:`is_rs_join`), which fixes the
+    #: recorded set: ``r=`` on ``occupancy`` trace events and no
+    #: ``cache.hit_rate``; any other topology records the probe hit
+    #: rate and no ``r=``.
+    rs_join: bool = field(init=False)
 
     def __post_init__(self) -> None:
         self.probes = tuple(
@@ -167,6 +189,7 @@ class MultiJoinStepState:
         )
         self.arrival_counters = tuple(f"arrivals.{name}" for name in self.names)
         self.evict_counter = f"evict.{self.policy.name}"
+        self.rs_join = is_rs_join(self.names, self.per_query)
 
     @property
     def recorder(self) -> Recorder:
@@ -228,28 +251,6 @@ def multi_partner_names(
     return {name: tuple(ps) for name, ps in partner_names.items()}
 
 
-def _join_state(
-    ctx: PolicyContext,
-    policy: ReplacementPolicy,
-    names: Sequence[str],
-    queries: Sequence[tuple[str, str]],
-    band: int,
-    binary: bool,
-) -> MultiJoinStepState:
-    """Validate the run parameters, reset the policy, assemble the state."""
-    check_run_params(ctx.cache_size, window=ctx.window, band=band)
-    _reset_policy(policy, ctx)
-    return MultiJoinStepState(
-        cache_size=ctx.cache_size,
-        policy=policy,
-        ctx=ctx,
-        names=tuple(names),
-        band=band,
-        binary=binary,
-        per_query={frozenset(q): 0 for q in queries},
-    )
-
-
 def make_join_state(
     cache_size: int,
     policy: ReplacementPolicy,
@@ -261,23 +262,19 @@ def make_join_state(
     window_oracle: Optional[WindowOracle] = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> MultiJoinStepState:
-    """The binary join ``R⋈S`` as a step-ready 2-stream topology.
-
-    This is the shared "run starts now" ritual of every binary join
-    driver: validate, build the policy context, reset the policy.
-    """
-    names, _ = binary_topology("join")
-    ctx = PolicyContext(
-        kind="join",
-        time=-1,
-        cache_size=cache_size,
+    """The binary join ``R⋈S``: :func:`build_multi_join_state` over its
+    2-stream topology."""
+    return build_multi_join_state(
+        cache_size,
+        policy,
+        RS_QUERIES,
+        RS_NAMES,
         window=window,
+        band=band,
+        models={"R": r_model, "S": s_model},
         window_oracle=window_oracle,
         recorder=recorder,
-        histories={name: [] for name in names},
-        models={"R": r_model, "S": s_model},
     )
-    return _join_state(ctx, policy, names, [("R", "S")], band, binary=True)
 
 
 def build_multi_join_state(
@@ -289,24 +286,40 @@ def build_multi_join_state(
     window: Optional[int] = None,
     band: int = 0,
     models: Optional[Mapping[str, StreamModel]] = None,
+    window_oracle: Optional[WindowOracle] = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> MultiJoinStepState:
-    """Validate the topology, build the partner-aware context, reset the
-    policy — the n-way counterpart of :func:`make_join_state`, shared
-    by :class:`~repro.sim.multi_join.MultiJoinSimulator` and the
-    :mod:`repro.serve` event loop."""
+    """The shared "run starts now" ritual of every join driver.
+
+    Validates the run parameters and the topology, builds the
+    partner-aware policy context and resets the policy.  Shared by
+    :class:`~repro.sim.multi_join.MultiJoinSimulator` and the
+    :mod:`repro.serve` event loop.  ``window_oracle`` speaks of the R
+    and S streams; :class:`~repro.sim.engine.ExperimentSpec` accepts it
+    on ``R⋈S`` only.
+    """
     partner_names = multi_partner_names(queries, names)
+    check_run_params(cache_size, window=window, band=band)
     ctx = PolicyContext(
-        kind="multi_join",
+        kind="join",
         time=-1,
         cache_size=cache_size,
         window=window,
+        window_oracle=window_oracle,
         recorder=recorder,
         partner_names=partner_names,
         histories={name: [] for name in names},
         models=dict(models or {}),
     )
-    return _join_state(ctx, policy, names, queries, band, binary=False)
+    _reset_policy(policy, ctx)
+    return MultiJoinStepState(
+        cache_size=cache_size,
+        policy=policy,
+        ctx=ctx,
+        names=tuple(names),
+        band=band,
+        per_query={frozenset(q): 0 for q in queries},
+    )
 
 
 def multi_join_step(
@@ -370,7 +383,7 @@ def multi_join_step(
     band = state.band
     per_query = state.per_query
     make = state.factory.make
-    count_probes = not state.binary
+    count_probes = not state.rs_join
     new_tuples = []
     for name, val, probes in zip(names, values, state.probes):
         if val is None or not probes:
@@ -430,13 +443,13 @@ def multi_join_step(
             rec.count("join.results", step_results)
         rec.series("cache.occupancy", t, occupancy)
         rec.series("join.results.cum", t, state.total_results)
-        if not state.binary:
+        if not state.rs_join:
             n_probes = state.probe_hits + state.probe_misses
             if n_probes:
                 rec.series("cache.hit_rate", t, state.probe_hits / n_probes)
         if rec_trace:
             rec.event("step", t, results=step_results)
-            if state.binary:
+            if state.rs_join:
                 rec.event(
                     "occupancy", t, total=occupancy, r=cache.count_side("R")
                 )

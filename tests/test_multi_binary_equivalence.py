@@ -2,8 +2,8 @@
 
 The binary join runs as the 2-stream multi-join on every tier, so these
 suites also pin Section-7 windows and band joins on the shared step:
-binary against 2-stream multi-join, and scalar against batch against a
-1-shard server.
+binary against 2-stream multi-join, and scalar against batch against
+parallel against a 1-shard server, each returning one ``JoinRunResult``.
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lifetime import LExp
-from repro.experiments.configs import make_multi_config
+from repro.experiments.configs import make_config, make_multi_config
 from repro.obs import CounterRecorder
 from repro.policies import make_policy
 from repro.policies.heeb_policy import GenericJoinHeeb, HeebPolicy
 from repro.serve import StreamServer, run_replay
 from repro.sim.engine import ExperimentSpec, ParallelEngine, spawn_rng
 from repro.sim.join_sim import JoinSimulator
-from repro.sim.multi_join import MultiJoinSimulator
-from repro.sim.runner import run_experiment
+from repro.sim.multi_join import JoinRunResult, MultiJoinSimulator
+from repro.sim.runner import generate_paths, run_experiment
 from repro.policies.base import ReplacementPolicy, ScoredPolicy
 from repro.streams import StationaryStream, from_mapping
 
@@ -168,8 +168,53 @@ def _step_counters(rec):
     }
 
 
+def _serve_run(spec, factory, data, recorder):
+    """One trial through a 1-shard server, as a ``JoinRunResult``.
+
+    Ticks go through ``submit`` for a ``"join"`` spec and
+    ``submit_multi`` otherwise; the shard's per-stream counts are read
+    after each tick drains, which is the simulator's occupancy series.
+    """
+    streams = spec.trial_streams(data)
+    names = spec.names
+    n = min(len(values) for values in streams.values())
+    occupancy = {name: [] for name in names}
+
+    async def serve():
+        server = StreamServer(spec, factory, recorder=recorder)
+        await server.start()
+        cache = server.shards[0].state.cache
+        for t in range(n):
+            if spec.kind == "join":
+                await server.submit(t, streams["R"][t], streams["S"][t])
+            else:
+                await server.submit_multi(
+                    t, {name: streams[name][t] for name in names}
+                )
+            await server.drain()
+            for name in names:
+                occupancy[name].append(cache.count_side(name))
+        await server.stop()
+        return server
+
+    server = asyncio.run(asyncio.wait_for(serve(), timeout=60))
+    return JoinRunResult(
+        total_results=server.total_results,
+        results_after_warmup=server.total_results,
+        steps=n,
+        warmup=0,
+        cache_size=spec.cache_size,
+        per_query=server.per_query_results(),
+        occupancy_by_stream={
+            name: np.array(counts, dtype=np.int64)
+            for name, counts in occupancy.items()
+        },
+    )
+
+
 def _tiers(spec, factory, data):
-    """Totals and step counters of one trial on scalar, batch and serve."""
+    """One trial's ``JoinRunResult`` and step counters on scalar, batch,
+    parallel and 1-shard serve."""
     out = {}
     for engine in ("scalar", "batch"):
         rec = CounterRecorder()
@@ -177,19 +222,45 @@ def _tiers(spec, factory, data):
             spec, factory, [data], engine=engine, recorder=rec
         )
         assert result.engine_used == engine
-        out[engine] = (result.per_run[0].total_results, _step_counters(rec))
+        out[engine] = (result.per_run[0], _step_counters(rec))
+    # Two trials, so one runs in a forked child and one in the caller.
     rec = CounterRecorder()
-    if spec.kind == "join":
-        summary = run_replay(spec, factory, *data, n_shards=1, recorder=rec)
-    else:
-        summary = run_replay(spec, factory, data, n_shards=1, recorder=rec)
-    out["serve"] = (summary.total_results, _step_counters(rec))
+    got = ParallelEngine(max_workers=2).run(
+        spec, factory, [data, data], recorder=rec
+    )
+    assert got.per_run[0].total_results == got.per_run[1].total_results
+    halved = {key: value // 2 for key, value in _step_counters(rec).items()}
+    out["parallel"] = (got.per_run[1], halved)
+    rec = CounterRecorder()
+    out["serve"] = (_serve_run(spec, factory, data, rec), _step_counters(rec))
     return out
+
+
+def _assert_same_run(got, want, label):
+    """The whole ``JoinRunResult`` agrees, derived occupancy included."""
+    assert got.total_results == want.total_results, label
+    assert got.results_after_warmup == want.results_after_warmup, label
+    assert (got.steps, got.warmup, got.cache_size) == (
+        want.steps,
+        want.warmup,
+        want.cache_size,
+    ), label
+    assert got.per_query == want.per_query, label
+    assert list(got.occupancy_by_stream) == list(want.occupancy_by_stream)
+    for name, occupancy in want.occupancy_by_stream.items():
+        np.testing.assert_array_equal(
+            got.occupancy_by_stream[name], occupancy, err_msg=label
+        )
+    np.testing.assert_array_equal(got.occupancy, want.occupancy, err_msg=label)
+    if "R" in want.occupancy_by_stream:
+        np.testing.assert_array_equal(got.r_occupancy, want.r_occupancy)
+        np.testing.assert_array_equal(got.r_fraction, want.r_fraction)
 
 
 class TestSharedStepOnEveryTier:
     """The binary join and the 2-stream multi-join are one step on every
-    tier, windows and bands included."""
+    tier, windows and bands included, and every tier returns the same
+    ``JoinRunResult``."""
 
     @given(tick_lists, st.integers(1, 4), windows, bands)
     @settings(max_examples=25, deadline=None)
@@ -207,16 +278,54 @@ class TestSharedStepOnEveryTier:
             band=band,
             queries=(("R", "S"),),
         )
+        chain3 = ExperimentSpec(
+            kind="multi_join",
+            cache_size=k,
+            window=window,
+            band=band,
+            queries=tuple(make_multi_config("CHAIN3").queries),
+        )
         join_tiers = _tiers(join, factory, (r, s))
         multi_tiers = _tiers(multi, factory, {"R": r, "S": s})
-        expected = JoinSimulator(k, make_policy("lru"), window=window, band=band)
-        total = expected.run(r, s).total_results
-        for tier in ("scalar", "batch", "serve"):
-            assert join_tiers[tier][0] == total, tier
-            assert multi_tiers[tier][0] == total, tier
+        chain_tiers = _tiers(chain3, factory, {"A": r, "B": s, "C": r[::-1]})
+        expected = JoinSimulator(
+            k, make_policy("lru"), window=window, band=band
+        ).run(r, s)
+        for tier in ("scalar", "batch", "parallel", "serve"):
+            _assert_same_run(join_tiers[tier][0], expected, tier)
+            _assert_same_run(multi_tiers[tier][0], expected, tier)
+            _assert_same_run(chain_tiers[tier][0], chain_tiers["scalar"][0], tier)
             assert join_tiers[tier][1] == join_tiers["scalar"][1], tier
             assert multi_tiers[tier][1] == multi_tiers["scalar"][1], tier
+            assert chain_tiers[tier][1] == chain_tiers["scalar"][1], tier
         assert join_tiers["scalar"][1] == multi_tiers["scalar"][1]
+
+    def test_floor_occupancy_pin(self):
+        """Pinned occupancy series of a seeded FLOOR HEEB run: the R
+        and total series Figures 14, 17 and 18 read, on the scalar and
+        batch tiers."""
+        config = make_config("FLOOR")
+        (paths,) = generate_paths(config.r_model, config.s_model, 40, 1, seed=7)
+        spec = ExperimentSpec(
+            kind="join",
+            cache_size=6,
+            r_model=config.r_model,
+            s_model=config.s_model,
+        )
+        r_occupancy = [
+            1, 2, 3, 3, 2, 2, 2, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 3, 2,
+            1, 0, 0, 0, 0, 0, 0, 1, 2, 2, 2, 2, 2, 1, 1, 0, 0, 0, 0, 0,
+        ]
+        occupancy = [2, 4] + [6] * 38
+        for engine in ("scalar", "batch"):
+            result = run_experiment(
+                spec, lambda: config.make_heeb(6), [paths], engine=engine
+            )
+            assert result.engine_used == engine
+            run = result.per_run[0]
+            assert run.total_results == 10
+            assert run.r_occupancy.tolist() == r_occupancy
+            assert run.occupancy.tolist() == occupancy
 
     def test_windowed_banded_multi_join_on_parallel_tier(self):
         rng = np.random.default_rng(5)

@@ -210,6 +210,34 @@ def test_abort_cancels_pending_work():
     assert sum(s.events_applied for s in server.shards) < 50
 
 
+def test_abort_wakes_producers_blocked_on_a_full_queue():
+    """Two producers blocked on a 1-slot queue behind a slow worker:
+    ``abort()`` empties the queue, so both wake and raise
+    ``ServerClosed`` instead of waiting forever."""
+
+    async def go():
+        server = StreamServer(
+            join_spec(cache_size=2),
+            lambda: make_policy("lru"),
+            queue_maxsize=1,
+            step_delay=0.05,
+        )
+        await server.start()
+
+        async def producer(first):
+            for t in range(first, 200, 2):
+                await server.submit(t, 1, 1)
+
+        tasks = [asyncio.create_task(producer(i)) for i in (0, 1)]
+        await asyncio.sleep(0.02)
+        assert server.backpressure_waits >= 2
+        await server.abort()
+        outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+        assert [type(o) for o in outcomes] == [ServerClosed, ServerClosed]
+
+    run(go())
+
+
 def test_live_reshard_preserves_cached_tuples_and_keeps_serving():
     async def go():
         server = StreamServer(

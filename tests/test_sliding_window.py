@@ -162,9 +162,8 @@ class TestWindowEdgeCases:
                 make_batch_policy(LruPolicy()),
                 [("R", "S")],
                 window=window,
-                binary=True,
             ).run(streams_to_arrays([{"R": r, "S": s} for r, s in paths]))
-            for i, run in enumerate(batch.unbatch()):
+            for i, run in enumerate(batch):
                 assert run.total_results == scalar[i].total_results, (
                     window,
                     i,
